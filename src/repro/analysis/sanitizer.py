@@ -39,11 +39,12 @@ and accounting invariants stay enforced.
 
 from __future__ import annotations
 
+import functools
 import weakref
 from typing import Any, Iterable, Sequence
 
 from repro.analysis.reference import ReferenceSetAssociativeLRU, reference_for
-from repro.caches.base import AccessResult, Cache
+from repro.caches.base import AccessResult, Cache, Outcomes, replay_recording
 from repro.caches.direct_mapped import DirectMappedCache
 from repro.caches.fully_associative import FullyAssociativeCache
 from repro.caches.set_associative import SetAssociativeCache
@@ -413,6 +414,9 @@ class SanitizedCache:
             :func:`repro.analysis.reference.reference_for`).
     """
 
+    #: Outcome sink for the next batch (see :func:`repro.caches.record_outcomes`).
+    outcomes: Outcomes | None = None
+
     def __init__(
         self,
         cache: Cache,
@@ -456,10 +460,13 @@ class SanitizedCache:
         The wrapped model's allocation-free batch kernels bypass the
         per-access hook by design, so a sanitized batch replay trades
         the speedup for the invariant trail — statistics stay
-        bit-identical to the unchecked batch path either way.
+        bit-identical to the unchecked batch path either way.  An
+        attached outcome sink is filled from the checked results.
         """
         access = self.access
-        if kinds is None:
+        if self.outcomes is not None:
+            replay_recording(self.cache, access, addresses, kinds, self.outcomes)
+        elif kinds is None:
             for address in addresses:
                 access(address)
         else:
@@ -554,7 +561,11 @@ def install_global_sanitizer(check_interval: int = 256) -> None:
         # Route the batch API through the checked per-access path so the
         # shadow model observes every reference (the batch kernels would
         # otherwise advance the statistics behind the checker's back).
-        if kinds is None:
+        sink = self.outcomes
+        if sink is not None:
+            access = functools.partial(checked_access, self)
+            replay_recording(self, access, addresses, kinds, sink)
+        elif kinds is None:
             for address in addresses:
                 checked_access(self, address)
         else:

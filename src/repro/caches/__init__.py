@@ -1,6 +1,12 @@
 """Cache organisations: the baseline and every comparison point."""
 
-from repro.caches.base import AccessResult, Cache, log2_exact
+from repro.caches.base import (
+    AccessResult,
+    Cache,
+    Outcomes,
+    log2_exact,
+    record_outcomes,
+)
 from repro.caches.column_associative import ColumnAssociativeCache
 from repro.caches.direct_mapped import DirectMappedCache
 from repro.caches.factory import (
@@ -34,6 +40,7 @@ __all__ = [
     "FullyAssociativeCache",
     "GroupAssociativeCache",
     "HighlyAssociativeCache",
+    "Outcomes",
     "PageColoringCache",
     "PartialAddressMatchingCache",
     "PredictiveSequentialCache",
@@ -44,4 +51,5 @@ __all__ = [
     "WritePolicyCache",
     "log2_exact",
     "make_cache",
+    "record_outcomes",
 ]

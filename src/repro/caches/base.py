@@ -10,8 +10,9 @@ block-address extraction and statistics plumbing.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from dataclasses import dataclass, field
+from itertools import count, repeat
+from typing import Callable, Iterable, Sequence
 
 from repro.obs import instrument as _obs
 from repro.stats.counters import CacheStats
@@ -50,8 +51,44 @@ class AccessResult:
     pd_hit: bool = True
 
 
+@dataclass(slots=True)
+class Outcomes:
+    """Per-reference outcomes of one batch, recorded beside CacheStats.
+
+    Attach one to a cache with :func:`record_outcomes`; the batch
+    kernel then lists, by position in the batch (0-based, ascending):
+
+    Attributes:
+        misses: references that missed.
+        slow_hits: hits that took the slow path (see
+            :meth:`Cache.slow_hit_count`).
+        dirty_positions: references whose access evicted a dirty block.
+        dirty_evictions: the byte address of each of those evicted
+            blocks, parallel to ``dirty_positions``.
+    """
+
+    misses: list[int] = field(default_factory=list)
+    slow_hits: list[int] = field(default_factory=list)
+    dirty_positions: list[int] = field(default_factory=list)
+    dirty_evictions: list[int] = field(default_factory=list)
+
+    def record(self, position: int, result: AccessResult, slow: bool) -> None:
+        """Add one per-access outcome (``slow``: the slow-hit counter moved)."""
+        if not result.hit:
+            self.misses.append(position)
+        elif slow:
+            self.slow_hits.append(position)
+        if result.evicted is not None and result.evicted_dirty:
+            self.dirty_positions.append(position)
+            self.dirty_evictions.append(result.evicted)
+
+
 class Cache(abc.ABC):
     """Abstract trace-driven cache model."""
+
+    #: Outcome sink the next batch fills, or None; set and cleared by
+    #: :func:`record_outcomes` and read once per batch by the kernel.
+    outcomes: Outcomes | None = None
 
     def __init__(self, size: int, line_size: int, num_sets: int, name: str = "") -> None:
         self.size = size
@@ -64,7 +101,8 @@ class Cache(abc.ABC):
         self.name = name or type(self).__name__
         self.stats = CacheStats(num_sets=num_sets)
         #: Which kernel flavour the last access_trace batch ran on
-        #: ("stdlib" or "numpy"); telemetry-only, never affects stats.
+        #: ("numpy", hand-written "stdlib", or the "generic" per-block
+        #: fallback); telemetry-only, never affects stats.
         self.last_kernel = "stdlib"
 
     # ------------------------------------------------------------------
@@ -133,6 +171,16 @@ class Cache(abc.ABC):
         _obs.observe_kernel(self.name, len(addresses), start, self.last_kernel)
         return stats
 
+    def slow_hit_count(self) -> int:
+        """Hits so far that took an extra cycle (victim-buffer swap-ins,
+        second probes); organisations with such hits override this.
+
+        The one definition of a slow hit: an access is one when it hits
+        and this counter moves.  The hierarchy's latency model, the
+        outcome recording and the sanitizer all read it.
+        """
+        return 0
+
     def contains(self, address: int) -> bool:
         """Non-mutating residency probe (no statistics side effects)."""
         return self._probe_block(address >> self.offset_bits)
@@ -164,10 +212,16 @@ class Cache(abc.ABC):
 
         Still pays one :class:`AccessResult` per reference (produced by
         the subclass), but skips the per-access wrapper and
-        ``stats.record`` call.  Organisations with a hot inner loop
+        ``stats.record`` call.  With an outcome sink attached it
+        replays through :meth:`access` instead and records each result
+        (:func:`replay_recording`).  Organisations with a hot inner loop
         override this with an allocation-free kernel; overrides must
         update statistics exactly like :meth:`access` does.
         """
+        self.last_kernel = "generic"
+        if self.outcomes is not None:
+            replay_recording(self, self.access, addresses, kinds, self.outcomes)
+            return self.stats
         stats = self.stats
         access_block = self._access_block
         offset_bits = self.offset_bits
@@ -222,3 +276,48 @@ class Cache(abc.ABC):
     @abc.abstractmethod
     def _flush_state(self) -> None:
         """Drop all cached blocks."""
+
+
+def replay_recording(
+    cache: Cache,
+    access: Callable[[int, bool], AccessResult],
+    addresses: Sequence[int],
+    kinds: Sequence[int] | None,
+    sink: Outcomes,
+) -> None:
+    """Replay a batch through a per-access ``access`` into ``sink``.
+
+    The fallback for organisations without a recording kernel, and the
+    sanitizer's batch path.  ``cache.slow_hit_count`` decides slow hits,
+    as in every other recording loop.
+    """
+    slow_hit_count = cache.slow_hit_count
+    before = slow_hit_count()
+    for position, address, kind in zip(
+        count(), addresses, repeat(0) if kinds is None else kinds
+    ):
+        result = access(address, kind == 1)
+        now = slow_hit_count()
+        sink.record(position, result, now != before)
+        before = now
+
+
+def record_outcomes(
+    cache: Cache,
+    addresses: Sequence[int],
+    kinds: Sequence[int] | None = None,
+) -> Outcomes:
+    """Run one ``access_trace`` batch and return its per-reference outcomes.
+
+    Statistics advance exactly as for a plain batch.  The sink is set on
+    ``cache.outcomes`` for the batch and cleared afterwards; kernels
+    that cannot record (the numpy ones) decline, so the batch runs on
+    a stdlib kernel.
+    """
+    sink = Outcomes()
+    cache.outcomes = sink
+    try:
+        cache.access_trace(addresses, kinds)
+    finally:
+        cache.outcomes = None
+    return sink

@@ -102,6 +102,10 @@ class ColumnAssociativeCache(Cache):
             hit=False, set_index=first, evicted=evicted, evicted_dirty=evicted_dirty
         )
 
+    def slow_hit_count(self) -> int:
+        """Second-probe hits: the extra-cycle half of the hit stream."""
+        return self.second_probe_hits
+
     def _probe_block(self, block: int) -> bool:
         return (
             self._blocks[self._primary_index(block)] == block

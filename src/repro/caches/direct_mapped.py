@@ -7,10 +7,11 @@ terminology) and an 18-bit tag out of a 32-bit address.
 
 from __future__ import annotations
 
+from itertools import count
 from typing import Sequence
 
 from repro.caches import columnar
-from repro.caches.base import AccessResult, Cache, log2_exact
+from repro.caches.base import AccessResult, Cache, Outcomes, log2_exact
 from repro.stats.counters import CacheStats
 
 
@@ -54,7 +55,8 @@ class DirectMappedCache(Cache):
             # A subclass customises per-access behaviour; let the generic
             # kernel drive its _access_block override instead of this one.
             return super()._batch_trace(addresses, kinds)
-        if columnar.dm_batch(self, addresses, kinds):
+        sink = self.outcomes
+        if sink is None and columnar.dm_batch(self, addresses, kinds):
             self.last_kernel = "numpy"
             return self.stats
         stats = self.stats
@@ -75,7 +77,14 @@ class DirectMappedCache(Cache):
         if kinds is None:
             kinds = bytes(n)  # all reads
         misses = writes = evictions = writebacks = 0
-        for address, kind in zip(addresses, kinds):
+        # Miss positions and dirty victims go to the attached sink, or
+        # to throwaway lists; appends only happen on the miss path.
+        if sink is None:
+            sink = Outcomes()
+        miss_at = sink.misses
+        dirty_at = sink.dirty_positions
+        dirty_out = sink.dirty_evictions
+        for position, address, kind in zip(count(), addresses, kinds):
             index = (address >> offset_bits) & index_mask
             tag = address >> tag_shift
             set_accesses[index] += 1
@@ -87,10 +96,15 @@ class DirectMappedCache(Cache):
             else:
                 misses += 1
                 set_misses[index] += 1
+                miss_at.append(position)
                 if resident >= 0:
                     evictions += 1
                     if dirty[index]:
                         writebacks += 1
+                        dirty_at.append(position)
+                        dirty_out.append(
+                            (resident << tag_shift) | (index << offset_bits)
+                        )
                 tags[index] = tag
                 if kind == 1:
                     writes += 1

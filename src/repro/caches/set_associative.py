@@ -12,7 +12,7 @@ from collections import Counter
 from typing import Sequence
 
 from repro.caches import columnar
-from repro.caches.base import AccessResult, Cache, log2_exact
+from repro.caches.base import AccessResult, Cache, Outcomes, log2_exact
 from repro.replacement import ReplacementPolicy, make_policy
 from repro.replacement.lru import LRUPolicy
 from repro.stats.counters import CacheStats
@@ -85,6 +85,12 @@ class SetAssociativeCache(Cache):
             # bookkeeping, partial-tag probes, ...); the generic kernel
             # drives its _access_block override instead of this one.
             return super()._batch_trace(addresses, kinds)
+        sink = self.outcomes
+        lru_fast = all(type(p) is LRUPolicy for p in self._policies)
+        if sink is not None and not lru_fast:
+            # Only the LRU loop records outcomes; other policies replay
+            # through the generic kernel, which records any organisation.
+            return super()._batch_trace(addresses, kinds)
         stats = self.stats
         tags_by_set = self._tags
         dirty_by_set = self._dirty
@@ -109,10 +115,9 @@ class SetAssociativeCache(Cache):
         # Column preparation: the address math vectorises even though
         # the replacement-policy state is inherently sequential.  The
         # stdlib fallback builds the same column with a comprehension.
-        columns = columnar.block_columns(
+        columns = None if sink is not None else columnar.block_columns(
             addresses, offset_bits, index_mask, num_sets
         )
-        lru_fast = all(type(p) is LRUPolicy for p in policies)
         hit_way_counts: list[int] | None = None
         if columns is not None:
             block_column, counts = columns
@@ -126,10 +131,10 @@ class SetAssociativeCache(Cache):
                 # (which costs ~25% of the stdlib kernel).
                 hit_way_counts = [0] * num_blocks
             else:
-                for set_index, count in Counter(
+                for set_index, refs in Counter(
                     b & index_mask for b in block_column
                 ).items():
-                    set_accesses[set_index] += count
+                    set_accesses[set_index] += refs
         # Flattened state, indexed by global way id ``set * ways + way``:
         # one {block: global way} map resolves a reference with a single
         # hash probe, so the hit path never derives index or tag at all.
@@ -165,6 +170,16 @@ class SetAssociativeCache(Cache):
             # Same loop as below plus the one-store hit count; kept as
             # a separate variant so the numpy-assisted path (whose
             # per-set counts already came from bincount) pays nothing.
+            # It is also the recording loop (an attached sink makes the
+            # numpy column preparation decline): ``stamp`` advances once
+            # per reference, so before a reference's increment it is
+            # that reference's 0-based position.  Miss positions and
+            # dirty victims go to the sink, or to throwaway lists.
+            if sink is None:
+                sink = Outcomes()
+            miss_at = sink.misses
+            dirty_at = sink.dirty_positions
+            dirty_out = sink.dirty_evictions
             for block, kind in zip(block_column, kinds):
                 try:
                     way = lookup[block]
@@ -178,17 +193,20 @@ class SetAssociativeCache(Cache):
                     index = block & index_mask
                     misses += 1
                     set_misses[index] += 1
+                    miss_at.append(stamp)
                     base = index * ways
                     segment = ts_flat[base:base + ways]
                     way = base + segment.index(min(segment))
-                    stamp += 1
-                    ts_flat[way] = stamp
                     resident = resident_blocks[way]
                     if resident >= 0:
                         evictions += 1
                         if dirty_flat[way]:
                             writebacks += 1
+                            dirty_at.append(stamp)
+                            dirty_out.append(resident << offset_bits)
                         del lookup[resident]
+                    stamp += 1
+                    ts_flat[way] = stamp
                     lookup[block] = way
                     resident_blocks[way] = block
                     is_write = kind == 1
@@ -271,9 +289,9 @@ class SetAssociativeCache(Cache):
             # accesses = hits (counted per way slot) + misses (counted
             # per set); folding both in here keeps the set_hits
             # reconstruction below oblivious to how counting happened.
-            for slot, count in enumerate(hit_way_counts):
-                if count:
-                    set_accesses[slot // ways] += count
+            for slot, refs in enumerate(hit_way_counts):
+                if refs:
+                    set_accesses[slot // ways] += refs
             for set_index, before in enumerate(misses_before):
                 miss_delta = set_misses[set_index] - before
                 if miss_delta:

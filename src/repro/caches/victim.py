@@ -99,6 +99,10 @@ class VictimBufferCache(Cache):
             hit=False, set_index=index, evicted=evicted, evicted_dirty=evicted_dirty
         )
 
+    def slow_hit_count(self) -> int:
+        """Buffer swap-ins: hits that pay the sequential second probe."""
+        return self.victim_hits
+
     def _probe_block(self, block: int) -> bool:
         index = block & self._index_mask
         if self._tags[index] == block >> self.index_bits:

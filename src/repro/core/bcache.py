@@ -25,7 +25,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.caches import columnar
-from repro.caches.base import AccessResult, Cache
+from repro.caches.base import AccessResult, Cache, Outcomes
 from repro.core.config import BCacheGeometry
 from repro.core.decoder import ProgrammableDecoderBank
 from repro.replacement import ReplacementPolicy, make_policy
@@ -186,7 +186,11 @@ class BCache(Cache):
         # Column preparation: only the offset shift vectorises — the
         # set index depends on decoder state, so hit detection and the
         # per-set counters stay sequential.
-        block_column = columnar.shifted_blocks(addresses, offset_bits)
+        sink = self.outcomes
+        block_column = (
+            None if sink is not None
+            else columnar.shifted_blocks(addresses, offset_bits)
+        )
         if block_column is None:
             block_column = [a >> offset_bits for a in addresses]
         # One-cycle hits (PD hit + tag match) resolve with a single
@@ -222,13 +226,23 @@ class BCache(Cache):
         stamp = 0
         misses = writes = 0
         pd_hit = pd_miss = evictions = writebacks = 0
+        # ``stamp`` advances once per reference (it doubles as the LRU
+        # timestamp), so before a reference's increment it is that
+        # reference's 0-based position.  Miss positions and dirty victims
+        # go to the attached sink, or to throwaway lists; appends only
+        # happen on the miss path.
+        if sink is None:
+            sink = Outcomes()
+        miss_at = sink.misses
+        dirty_at = sink.dirty_positions
+        dirty_out = sink.dirty_evictions
         for block, kind in zip(block_column, kinds):
             try:
                 set_index = hit_map[block]
                 # One-cycle hit: exactly one word line fired.
                 set_accesses[set_index] += 1
+                stamp += 1
                 if ts_flat is not None:
-                    stamp += 1
                     ts_flat[set_index] = stamp
                 else:
                     policies[set_index & row_mask].touch(set_index >> row_bits)
@@ -258,8 +272,8 @@ class BCache(Cache):
                     elif invalid:
                         cluster = invalid[0]
                         best = ts_flat[cluster * num_rows + row]
-                        for position in range(1, len(invalid)):
-                            candidate = invalid[position]
+                        for pick in range(1, len(invalid)):
+                            candidate = invalid[pick]
                             candidate_ts = ts_flat[candidate * num_rows + row]
                             if candidate_ts < best:
                                 best = candidate_ts
@@ -271,6 +285,7 @@ class BCache(Cache):
                 misses += 1
                 set_accesses[set_index] += 1
                 set_misses[set_index] += 1
+                miss_at.append(stamp)
                 is_write = kind == 1
                 if is_write:
                     writes += 1
@@ -279,10 +294,12 @@ class BCache(Cache):
                     evictions += 1
                     if dirty[set_index]:
                         writebacks += 1
+                        dirty_at.append(stamp)
+                        dirty_out.append(resident << offset_bits)
                     del hit_map[resident]
                 self._fill(row, cluster, pi, tag, is_write)
+                stamp += 1
                 if ts_flat is not None:
-                    stamp += 1
                     ts_flat[set_index] = stamp
                 hit_map[block] = set_index
                 resident_blocks[set_index] = block

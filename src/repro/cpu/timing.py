@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from repro.hierarchy.memory_system import MemoryHierarchy
+from repro.hierarchy.memory_system import MemoryHierarchy, SplitTrace
 from repro.trace.access import Access
 
 
@@ -86,22 +86,22 @@ class OoOProcessorModel:
         self.hierarchy = hierarchy
         self.config = config or ProcessorConfig()
 
-    def run(self, trace: Iterable[Access]) -> ExecutionResult:
-        """Execute a combined trace (each ifetch is one instruction)."""
+    def run(self, trace: Iterable[Access] | SplitTrace) -> ExecutionResult:
+        """Execute a combined trace (each ifetch is one instruction).
+
+        The hierarchy replays the trace on the batch kernels and returns
+        integer cycle sums, so the stalls are one closed form over them.
+        Converting each sum to float once is bit-identical to adding the
+        per-reference latencies into a float one by one: every partial
+        sum is an integer below 2**53, so no addition rounds.
+        """
+        split = SplitTrace.of(trace)
         hierarchy = self.hierarchy
+        fetch_cycles, data_cycles = hierarchy.simulate(split)
         hit_latency = hierarchy.l1i.hit_latency
-        ifetch_stalls = 0.0
-        data_stalls = 0.0
-        instructions = 0
-        for access in trace:
-            if access.is_instruction:
-                instructions += 1
-                latency = hierarchy.fetch_instruction(access.address)
-                ifetch_stalls += latency - hit_latency
-            else:
-                latency = hierarchy.access_data(access.address, access.is_write)
-                data_stalls += latency - hit_latency
-        hierarchy._sync_miss_counts()
+        instructions = len(split.instr)
+        ifetch_stalls = float(fetch_cycles - instructions * hit_latency)
+        data_stalls = float(data_cycles - len(split.data) * hit_latency)
         config = self.config
         cycles = (
             instructions * config.base_cpi

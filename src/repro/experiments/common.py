@@ -26,7 +26,7 @@ from repro.caches.base import Cache
 from repro.cpu.timing import ExecutionResult, OoOProcessorModel, ProcessorConfig
 from repro.engine.runner import SweepJob, execute_job, run_sweep
 from repro.engine.trace_store import default_store
-from repro.hierarchy.memory_system import MemoryHierarchy
+from repro.hierarchy.memory_system import MemoryHierarchy, SplitTrace
 from repro.stats.counters import CacheStats
 from repro.workloads.spec2k import get_profile
 
@@ -84,6 +84,12 @@ def instr_addresses(benchmark: str, n: int, seed: int) -> memoryview:
 def combined_trace(benchmark: str, instructions: int, seed: int) -> tuple:
     """Memoised combined (ifetch + data) trace for the system model."""
     return tuple(get_profile(benchmark).combined_trace(instructions, seed))
+
+
+@lru_cache(maxsize=8)
+def system_trace(benchmark: str, instructions: int, seed: int) -> SplitTrace:
+    """Memoised :func:`combined_trace` split into the two L1 batches."""
+    return SplitTrace.of(combined_trace(benchmark, instructions, seed))
 
 
 def run_side(
@@ -191,7 +197,7 @@ def run_system(
     config: ProcessorConfig | None = None,
 ) -> ExecutionResult:
     """Run the full processor + hierarchy model with ``spec`` L1 caches."""
-    trace = combined_trace(benchmark, scale.instructions, scale.seed)
+    trace = system_trace(benchmark, scale.instructions, scale.seed)
     hierarchy = MemoryHierarchy(
         l1i=make_cache(spec, size=size),
         l1d=make_cache(spec, size=size),
@@ -204,11 +210,16 @@ def run_system(
 
 
 def clear_trace_caches() -> None:
-    """Drop memoised traces (frees memory between large sweeps).
+    """Drop memoised traces and results (frees memory between sweeps).
 
     Disk blobs are untouched — the next request decodes them again.
     """
     data_addresses.cache_clear()
     instr_addresses.cache_clear()
     combined_trace.cache_clear()
+    system_trace.cache_clear()
+    # fig8 and fig9 share one memoised run; a fresh invocation redoes it.
+    from repro.experiments import perf_energy
+
+    perf_energy.run.cache_clear()
     default_store().clear_memory()

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from repro.caches import make_cache
 from repro.experiments.common import DEFAULT, ExperimentScale, data_addresses
 from repro.experiments.reporting import format_table
-from repro.stats.three_c import MissBreakdown, classify_misses
+from repro.stats.three_c import MissBreakdown, classify_misses, fa_lru_reference
 from repro.workloads.spec2k import ALL_BENCHMARKS
 
 DECOMPOSITION_SPECS = ("dm", "2way", "8way", "mf8_bas8")
@@ -67,9 +67,17 @@ def run(
     breakdowns: dict[str, dict[str, MissBreakdown]] = {spec: {} for spec in specs}
     for benchmark in benchmarks:
         addresses = data_addresses(benchmark, scale.data_n, scale.seed)
+        reference = None
         for spec in specs:
             cache = make_cache(spec)
-            breakdowns[spec][benchmark] = classify_misses(cache, addresses)
+            if reference is None:
+                # Every spec here has the same capacity and line size.
+                reference = fa_lru_reference(
+                    addresses, cache.size, cache.line_size
+                )
+            breakdowns[spec][benchmark] = classify_misses(
+                cache, addresses, reference
+            )
     return DecompositionResult(
         benchmarks=tuple(benchmarks), specs=tuple(specs), breakdowns=breakdowns
     )

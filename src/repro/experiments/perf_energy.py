@@ -15,6 +15,7 @@ energy equations from it), so one runner produces both:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from repro.caches.factory import FIGURE89_SPECS
 from repro.cpu.timing import ExecutionResult
@@ -164,12 +165,19 @@ class PerfEnergyResult:
         )
 
 
+@lru_cache(maxsize=4)
 def run(
     scale: ExperimentScale = DEFAULT,
     benchmarks: tuple[str, ...] = ALL_BENCHMARKS,
     specs: tuple[str, ...] = ("dm",) + FIGURE89_SPECS,
 ) -> PerfEnergyResult:
-    """Run the Figure 8/9 study: one system simulation per (spec, bench)."""
+    """Run the Figure 8/9 study: one system simulation per (spec, bench).
+
+    Memoised per argument set (the result holds only floats, not the
+    simulated hierarchies), so ``fig8`` and ``fig9`` in one invocation
+    share a run; :func:`~repro.experiments.common.clear_trace_caches`
+    drops the memo.
+    """
     ipc: dict[str, dict[str, float]] = {spec: {} for spec in specs}
     energy: dict[str, dict[str, float]] = {spec: {} for spec in specs}
     config_energies: dict[str, ConfigEnergy] = {

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.caches import make_cache
+from repro.caches import make_cache, record_outcomes
 from repro.experiments.common import DEFAULT, ExperimentScale, data_addresses
 from repro.experiments.reporting import format_table
 from repro.stats.summary import average_reduction, miss_rate_reduction
@@ -65,17 +65,16 @@ def _measure_point(
     reductions: dict[str, list[float]] = {spec: [] for spec in SWEEP_SPECS}
     for benchmark in benchmarks:
         addresses = data_addresses(benchmark, scale.data_n, scale.seed)
-        dm = make_cache("dm", size=size, line_size=line_size)
-        for address in addresses:
-            dm.access(address)
-        baselines.append(dm.miss_rate)
-        for spec in SWEEP_SPECS:
+        rates: dict[str, float] = {}
+        for spec in ("dm",) + SWEEP_SPECS:
             cache = make_cache(spec, size=size, line_size=line_size)
-            for address in addresses:
-                cache.access(address)
-            reductions[spec].append(
-                miss_rate_reduction(dm.miss_rate, cache.miss_rate)
-            )
+            # The outcome path keeps the system experiments on the
+            # stdlib kernels (no numpy import in their process).
+            record_outcomes(cache, addresses)
+            rates[spec] = cache.miss_rate
+        baselines.append(rates["dm"])
+        for spec in SWEEP_SPECS:
+            reductions[spec].append(miss_rate_reduction(rates["dm"], rates[spec]))
     return SweepPoint(
         label=label,
         baseline_miss_rate=average_reduction(baselines),

@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.caches.base import AccessResult, Cache
-from repro.caches.column_associative import ColumnAssociativeCache
-from repro.caches.victim import VictimBufferCache
 from repro.stats.counters import CacheStats
 
 
@@ -45,30 +43,18 @@ class CacheLevel:
         self.slow_hit_extra = slow_hit_extra
         self.slow_hits = 0
 
-    def _is_slow_hit(self, before: tuple[int, ...], result: AccessResult) -> bool:
-        if not result.hit:
-            return False
-        cache = self.cache
-        if isinstance(cache, VictimBufferCache):
-            return cache.victim_hits > before[0]
-        if isinstance(cache, ColumnAssociativeCache):
-            return cache.second_probe_hits > before[1]
-        return False
-
     def access(self, address: int, is_write: bool = False) -> TimedAccess:
         """Access the level, returning the outcome and cycles spent here.
 
         A miss costs the full hit latency too (the probe that discovers
         the miss); the next level's latency is added by the hierarchy.
+        A hit is slow when it moves :meth:`Cache.slow_hit_count`.
         """
         cache = self.cache
-        before = (
-            getattr(cache, "victim_hits", 0),
-            getattr(cache, "second_probe_hits", 0),
-        )
+        before = cache.slow_hit_count()
         result = cache.access(address, is_write)
         latency = self.hit_latency
-        if self._is_slow_hit(before, result):
+        if result.hit and cache.slow_hit_count() != before:
             latency += self.slow_hit_extra
             self.slow_hits += 1
         return TimedAccess(result=result, latency=latency)

@@ -45,8 +45,9 @@ def observe_kernel(
 ) -> None:
     """Record one ``Cache.access_trace`` batch (paired with kernel_clock).
 
-    ``path`` names the kernel flavour that ran ("stdlib" or "numpy") so
-    a perf investigation can tell the two apart per batch.
+    ``path`` names the kernel flavour that ran ("numpy", a hand-written
+    "stdlib" loop, or the "generic" per-block fallback) so a perf
+    investigation can tell them apart per batch.
     """
     if start == 0.0 or not events.enabled():
         return

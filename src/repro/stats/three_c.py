@@ -10,19 +10,24 @@ capacity would not take (Hill's classic 3C model):
 * **conflict**  — everything else: an artefact of restricted placement,
   the target of the B-Cache, victim buffers, skewing et al.
 
-:func:`classify_misses` runs the cache-under-test in lockstep with a
-same-capacity fully associative LRU reference and buckets every miss.
-The decomposition experiment shows the B-Cache removing most of the
-baseline's conflict bucket while leaving compulsory/capacity intact.
+:func:`classify_misses` replays the cache under test as one batch,
+takes its per-reference miss list (:func:`repro.caches.record_outcomes`)
+and buckets every miss against a same-capacity fully associative LRU
+reference (:func:`fa_lru_reference`).  The reference depends only on
+the trace, capacity and line size, so one serves every organisation
+(Bender et al. frame the 3C split the same way: alpha-way misses
+against one fully associative cache).  The decomposition experiment
+shows the B-Cache removing most of the baseline's conflict bucket
+while leaving compulsory/capacity intact.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
-from repro.caches.base import Cache
-from repro.caches.fully_associative import FullyAssociativeCache
+from repro.caches.base import Cache, log2_exact, record_outcomes
 
 
 @dataclass(frozen=True, slots=True)
@@ -54,45 +59,88 @@ class MissBreakdown:
         return getattr(self, kind) / total
 
 
+@dataclass(frozen=True, slots=True)
+class FAReference:
+    """A fully associative LRU cache's view of one trace.
+
+    Attributes:
+        size: capacity in bytes.
+        line_size: block size in bytes.
+        hits: one byte per reference, 1 where the FA LRU cache hits.
+        first_touch: one byte per reference, 1 at each block's first
+            reference in the trace.
+    """
+
+    size: int
+    line_size: int
+    hits: bytearray
+    first_touch: bytearray
+
+
+def fa_lru_reference(
+    addresses: Sequence[int], size: int, line_size: int
+) -> FAReference:
+    """Replay ``addresses`` through a cold fully associative LRU cache.
+
+    An ordered dict in recency order is the whole model: hit-for-hit the
+    same as ``FullyAssociativeCache(size, line_size, policy="lru")``.
+    """
+    capacity = size // line_size
+    offset_bits = log2_exact(line_size, "line_size")
+    hits = bytearray(len(addresses))
+    first_touch = bytearray(len(addresses))
+    recency: OrderedDict[int, None] = OrderedDict()
+    seen: set[int] = set()
+    for position, address in enumerate(addresses):
+        block = address >> offset_bits
+        if block in recency:
+            recency.move_to_end(block)
+            hits[position] = 1
+            continue
+        if block not in seen:
+            seen.add(block)
+            first_touch[position] = 1
+        recency[block] = None
+        if len(recency) > capacity:
+            recency.popitem(last=False)
+    return FAReference(size, line_size, hits, first_touch)
+
+
 def classify_misses(
     cache: Cache,
     addresses: Iterable[int],
-    reference: FullyAssociativeCache | None = None,
+    reference: FAReference | None = None,
 ) -> MissBreakdown:
     """Run ``addresses`` through ``cache``, classifying every miss.
 
-    The fully associative LRU reference has the same capacity and line
-    size as the cache under test (supply ``reference`` to reuse one
-    across calls — it must be freshly flushed).
+    ``reference`` is :func:`fa_lru_reference` of the same addresses at
+    the cache's capacity and line size; supply it to share one across
+    organisations, otherwise it is computed here.
     """
+    if not isinstance(addresses, Sequence):
+        addresses = list(addresses)
     if reference is None:
-        reference = FullyAssociativeCache(
-            cache.size, cache.line_size, policy="lru"
+        reference = fa_lru_reference(addresses, cache.size, cache.line_size)
+    elif not isinstance(reference, FAReference):
+        raise TypeError(
+            "reference must be an FAReference from fa_lru_reference, "
+            f"not {type(reference).__name__}"
         )
     if reference.size != cache.size or reference.line_size != cache.line_size:
         raise ValueError("reference capacity must match the cache under test")
-    seen: set[int] = set()
-    compulsory = 0
-    capacity = 0
-    conflict = 0
-    accesses = 0
-    offset_bits = cache.offset_bits
-    for address in addresses:
-        accesses += 1
-        block = address >> offset_bits
-        result = cache.access(address)
-        reference_result = reference.access(address)
-        if not result.hit:
-            if block not in seen:
-                compulsory += 1
-            elif not reference_result.hit:
-                capacity += 1
-            else:
-                conflict += 1
-        seen.add(block)
+    if len(reference.hits) != len(addresses):
+        raise ValueError("reference was built from a different trace")
+    misses = record_outcomes(cache, addresses).misses
+    hits, first_touch = reference.hits, reference.first_touch
+    compulsory = capacity = 0
+    for position in misses:
+        if first_touch[position]:
+            compulsory += 1
+        elif not hits[position]:
+            capacity += 1
     return MissBreakdown(
-        accesses=accesses,
+        accesses=len(addresses),
         compulsory=compulsory,
         capacity=capacity,
-        conflict=conflict,
+        conflict=len(misses) - compulsory - capacity,
     )

@@ -9,7 +9,7 @@ from repro.caches.direct_mapped import DirectMappedCache
 from repro.caches.fully_associative import FullyAssociativeCache
 from repro.experiments.common import ExperimentScale
 from repro.experiments.miss_decomposition import run as run_decomposition
-from repro.stats.three_c import classify_misses
+from repro.stats.three_c import classify_misses, fa_lru_reference
 
 TINY = ExperimentScale(data_n=10_000, instr_n=10_000, instructions=5_000, seed=2006)
 
@@ -58,9 +58,21 @@ class TestClassifier:
 
     def test_reference_capacity_checked(self):
         cache = DirectMappedCache(512, 32)
-        wrong = FullyAssociativeCache(1024, 32)
+        wrong = fa_lru_reference([0], 1024, 32)
         with pytest.raises(ValueError):
             classify_misses(cache, [0], reference=wrong)
+
+    def test_reference_trace_length_checked(self):
+        cache = DirectMappedCache(512, 32)
+        other = fa_lru_reference([0, 32], 512, 32)
+        with pytest.raises(ValueError):
+            classify_misses(cache, [0], reference=other)
+
+    def test_reference_must_be_fa_reference(self):
+        """A simulated FA cache is not a reference, even at a matching size."""
+        cache = DirectMappedCache(512, 32)
+        with pytest.raises(TypeError):
+            classify_misses(cache, [0], reference=FullyAssociativeCache(512, 32))
 
     def test_empty_trace(self):
         cache = DirectMappedCache(512, 32)
