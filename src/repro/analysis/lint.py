@@ -75,7 +75,7 @@ BCL018    result-cache key discipline: ``execute_job`` must not read a
           change the result but not the key silently poisons every
           cached entry), and nothing non-canonical — ``str(...)``,
           ``repr(...)`` or an f-string — may feed a cache-key function
-          (``canonical_job_key``/``job_hash``); representation drift
+          (``job_key``/``job_hash``); representation drift
           splits one logical job across many keys
 BCL019    trace propagation discipline: spans opened inside serve or
           cluster coroutines (``span``/``stage_span``/``stage_event``)
@@ -199,8 +199,8 @@ BLOCKING_IO_METHODS = frozenset(
 )
 
 #: ``SweepJob`` fields covered by the canonical result-cache key
-#: (mirrors ``repro.serve.resultcache.HASHED_JOB_FIELDS``; duplicated so
-#: the linter stays importable without the serve package).  BCL018:
+#: (mirrors ``repro.engine.results.KEY_FIELDS``; duplicated so the
+#: linter stays importable without the engine package).  BCL018:
 #: ``execute_job`` reading any *other* ``job.<field>`` means the cached
 #: result depends on state the key cannot see.
 RESULT_CACHE_KEY_FIELDS = frozenset(
@@ -212,7 +212,7 @@ RESULT_CACHE_KEY_FIELDS = frozenset(
 #: arguments must stay canonical — ``str()``/``repr()``/f-string
 #: serialisation drifts with Python versions and repr details, silently
 #: splitting one logical job across several cache entries.
-CACHE_KEY_FUNCS = frozenset({"canonical_job_key", "job_hash", "cache_key"})
+CACHE_KEY_FUNCS = frozenset({"job_key", "job_hash", "cache_key"})
 
 #: Registry factory methods whose first argument is a metric name that
 #: must satisfy the exposition contract (BCL012).
@@ -871,7 +871,7 @@ class _Linter(ast.NodeVisitor):
                         arg,
                         "BCL018",
                         f"{culprit} feeds cache-key function {name}(); pass "
-                        "the job/mapping itself — canonical serialisation "
+                        "the job itself — canonical serialisation "
                         "happens inside the key function",
                     )
 
@@ -1009,9 +1009,9 @@ class _Linter(ast.NodeVisitor):
                 node,
                 "BCL018",
                 f"execute_job reads job.{node.attr}, which is not in the "
-                "canonical result-cache key; add it to HASHED_JOB_FIELDS "
-                "(and the linter's RESULT_CACHE_KEY_FIELDS) or the cache "
-                "will serve stale results",
+                "canonical result-cache key; make it a SweepJob field "
+                "(and add it to the linter's RESULT_CACHE_KEY_FIELDS) or "
+                "the cache will serve stale results",
             )
         self.generic_visit(node)
 

@@ -35,7 +35,7 @@ _SCALES = {"smoke": SMOKE, "default": DEFAULT, "full": FULL}
 class RunOptions:
     """Engine options shared by the sweep-backed experiments.
 
-    ``run_id`` opts into the crash-safe journal: the id is namespaced
+    ``run_id`` opts into the crash-safe run store: the id is namespaced
     per experiment (``<run_id>-fig4`` etc.) so one ``bcache-repro all
     --run-id nightly`` invocation resumes each experiment independently
     after a kill.
@@ -197,9 +197,10 @@ def main(argv: list[str] | None = None) -> int:
         "--run-id",
         default=None,
         metavar="ID",
-        help="journal sweep results under this id and resume a "
+        help="store sweep results under this run id and resume a "
         "previously killed run bit-identically (stored in "
-        "$REPRO_RUN_ROOT or ~/.cache/bcache-repro/runs)",
+        "$REPRO_RUN_ROOT or ~/.cache/bcache-repro/runs; a resume after "
+        "a simulation source changed re-runs the jobs)",
     )
     args = parser.parse_args(argv)
 
@@ -227,7 +228,7 @@ def main(argv: list[str] | None = None) -> int:
         print(
             "\nbcache-repro: interrupted — workers terminated"
             + (
-                f"; completed jobs are journaled under run id {args.run_id!r} "
+                f"; completed jobs are stored under run id {args.run_id!r} "
                 "(rerun with the same --run-id to resume)"
                 if args.run_id
                 else ""
@@ -241,7 +242,7 @@ def main(argv: list[str] | None = None) -> int:
 
         valid = tuple(name for name in names if name in EXPERIMENTS)
         # Bind this invocation's engine options; with --run-id the
-        # report replays journaled results instead of recomputing.
+        # report replays stored results instead of recomputing.
         registry = {
             name: (lambda s, _fn=fn: _fn(s, opts))
             for name, fn in EXPERIMENTS.items()

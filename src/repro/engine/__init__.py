@@ -1,16 +1,20 @@
-"""Parallel experiment engine: trace store, runner, resilience, bench.
+"""Parallel experiment engine: trace store, runner, results, resilience.
 
-Five pieces (see ``docs/engine.md``):
+Six pieces (see ``docs/engine.md``):
 
 * :mod:`repro.engine.trace_store` — on-disk ``array('Q')`` blobs (CRC32
   framed, corrupt files quarantined + regenerated) so every synthetic
   trace is generated exactly once per machine;
 * :mod:`repro.engine.runner` — deterministic process-pool fan-out of
   (spec, benchmark, side, scale) jobs with bit-identical statistics;
+* :mod:`repro.engine.results` — the one job codec (``job_to_wire`` /
+  ``job_from_wire``, ``job_key``, ``job_hash``) and the one
+  content-addressed result store (:class:`ResultCache`), shared by
+  ``run_id`` sweeps, the cluster and the serve tier;
 * :mod:`repro.engine.resilience` — crash-safe execution: per-job
-  retries with backoff, hung-worker timeouts, the durable result
-  journal behind ``run_sweep(..., resume=run_id)``, and serial
-  fallback after repeated pool failures;
+  retries with backoff, hung-worker timeouts, the run store behind
+  ``run_sweep(..., resume=run_id)``, and serial fallback after
+  repeated pool failures;
 * :mod:`repro.engine.faultinject` — deterministic fault injection
   (:class:`FaultPlan`) proving every recovery path, plus the CI chaos
   harness (``python -m repro.engine.faultinject``);
@@ -32,19 +36,24 @@ from repro.engine.trace_store import TraceStore, default_store, set_default_stor
 
 #: Symbols resolved lazily (PEP 562) so ``python -m
 #: repro.engine.faultinject`` does not double-import its own module and
-#: plain sweeps never pay the resilience import.
+#: plain sweeps never pay the resilience or results import.
 _LAZY = {
     "FAULT_KINDS": "faultinject",
     "FaultPlan": "faultinject",
     "FaultPlanError": "faultinject",
     "FaultSpec": "faultinject",
     "InjectedFault": "faultinject",
+    "BadJob": "results",
     "ResilienceConfig": "resilience",
-    "ResultJournal": "resilience",
+    "ResultCache": "results",
     "RetryPolicy": "resilience",
     "SweepFailure": "resilience",
     "default_run_root": "resilience",
-    "job_key": "resilience",
+    "engine_fingerprint": "results",
+    "job_from_wire": "results",
+    "job_hash": "results",
+    "job_key": "results",
+    "job_to_wire": "results",
 }
 
 
@@ -61,13 +70,14 @@ def __dir__() -> list[str]:
     return sorted(set(globals()) | set(_LAZY))
 
 __all__ = [
+    "BadJob",
     "FAULT_KINDS",
     "FaultPlan",
     "FaultPlanError",
     "FaultSpec",
     "InjectedFault",
     "ResilienceConfig",
-    "ResultJournal",
+    "ResultCache",
     "RetryPolicy",
     "SweepFailure",
     "SweepJob",
@@ -76,8 +86,12 @@ __all__ = [
     "default_jobs",
     "default_run_root",
     "default_store",
+    "engine_fingerprint",
     "execute_job",
+    "job_from_wire",
+    "job_hash",
     "job_key",
+    "job_to_wire",
     "run_sweep",
     "set_default_store",
 ]

@@ -21,7 +21,7 @@ Architecture (see ``docs/cluster.md``):
   each node's coroutine pulls batches sized by its observed throughput,
   and an idle node speculatively re-dispatches ("steals") the tail half
   of the most-loaded peer's in-flight batch.  Results are deduplicated
-  on :func:`~repro.engine.resilience.job_key` — the first result wins,
+  on :func:`~repro.engine.results.job_key` — the first result wins,
   a slow node's late duplicate is counted and discarded, never merged
   twice.
 * A dead or circuit-open node's in-flight jobs are re-queued at the
@@ -29,11 +29,13 @@ Architecture (see ``docs/cluster.md``):
   degrades to local in-process execution (the same serial
   ``execute_job`` path ``run_sweep`` uses), so a sweep always
   completes.
-* With ``run_id=`` the coordinator reuses the engine's crash-consistent
-  :class:`~repro.engine.resilience.ResultJournal` (same create-or-resume
-  semantics as ``run_sweep``): a coordinator SIGKILL resumes
-  bit-identically, and each record now carries the ``node`` that served
-  it for provenance.
+* With ``run_id=`` the coordinator stores results in the same
+  crash-consistent run store as ``run_sweep`` (a
+  :class:`~repro.engine.results.ResultCache` in the run directory, same
+  create-or-resume semantics): a coordinator SIGKILL resumes
+  bit-identically.  Which node served each job is provenance, not
+  result: it goes to a ``cluster.job_served`` event in the run's
+  ``events.jsonl`` (when ``REPRO_OBS`` is on) and to ``summary()``.
 
 Node-level chaos is deterministic: the ``node_down@job``,
 ``node_hang@job`` and ``node_flaky@job[:dispatch]`` kinds of the
@@ -62,13 +64,9 @@ from random import Random
 from typing import Any, Iterable, Sequence
 
 from repro.engine.faultinject import FaultPlan, FaultPlanError
-from repro.engine.resilience import (
-    ResultJournal,
-    RetryPolicy,
-    default_run_root,
-    job_key,
-)
-from repro.engine.runner import SweepJob, execute_job
+from repro.engine.resilience import RetryPolicy, default_run_root, load_completed
+from repro.engine.results import ResultCache, job_key
+from repro.engine.runner import SweepJob, execute_job, job_label
 from repro.engine.trace_store import TraceStore, default_store
 from repro.obs import events as obs_events
 from repro.obs import instrument as _obs
@@ -76,7 +74,6 @@ from repro.obs import tracectx
 from repro.obs.tracectx import TraceContext
 from repro.serve.client import AsyncServeClient, ServeError
 from repro.serve.protocol import PROTOCOL_VERSION, ProtocolError
-from repro.serve.resultcache import ResultCache
 from repro.stats.counters import CacheStats
 
 log = logging.getLogger("repro.engine.cluster")
@@ -166,7 +163,7 @@ class ClusterConfig:
         retry: backoff between a node's consecutive failures
             (exponential with deterministic jitter).
         backoff_seed: seed for the jitter generator.
-        fsync: journal durability (disable only in tests).
+        fsync: run-store durability (disable only in tests).
     """
 
     connect_timeout: float = 5.0
@@ -356,8 +353,7 @@ class ClusterCoordinator:
         self._remaining: set[int] = set()
         self._queue: deque[_Task] = deque()
         self._inflight: dict[str, dict[int, _Task]] = {}
-        self._journal: ResultJournal | None = None
-        self._journal_lock: asyncio.Lock | None = None
+        self._run_store: ResultCache | None = None
         self._plan: FaultPlan | None = None
         self._rng = Random(self.config.backoff_seed)
 
@@ -375,7 +371,7 @@ class ClusterCoordinator:
 
         ``run_id``/``resume`` are create-or-resume aliases exactly as in
         :func:`repro.engine.runner.run_sweep`: completed jobs replay
-        from the journal, the rest are dispatched, and a coordinator
+        from the run store, the rest are dispatched, and a coordinator
         killed mid-sweep resumes bit-identically.
         """
         job_list = list(jobs)
@@ -385,16 +381,18 @@ class ClusterCoordinator:
                 "pass one (they are aliases)"
             )
         rid = run_id or resume
-        journal: ResultJournal | None = None
+        self._run_store = None
+        completed: list[CacheStats | None] = [None] * len(job_list)
+        route_log: contextlib.AbstractContextManager[None] = (
+            contextlib.nullcontext()
+        )
         if rid:
-            root = Path(run_root) if run_root is not None else default_run_root()
-            journal = ResultJournal(root / rid, fsync=self.config.fsync)
-            journal.open_run(rid, job_list)
-        try:
-            return asyncio.run(self._run_async(job_list, journal, fault_plan))
-        finally:
-            if journal is not None:
-                journal.close()
+            run_dir = Path(run_root or default_run_root()) / rid
+            self._run_store = ResultCache(run_dir, fsync=self.config.fsync)
+            completed = load_completed(self._run_store, job_list)
+            route_log = obs_events.log_to(run_dir / "events.jsonl")
+        with route_log:
+            return asyncio.run(self._run_async(job_list, completed, fault_plan))
 
     def summary(self) -> dict[str, Any]:
         """Per-node accounting and cluster totals for the last run."""
@@ -425,7 +423,7 @@ class ClusterCoordinator:
     async def _run_async(
         self,
         jobs: list[SweepJob],
-        journal: ResultJournal | None,
+        completed: list[CacheStats | None],
         plan: FaultPlan | None,
     ) -> list[CacheStats]:
         self._jobs = jobs
@@ -433,19 +431,12 @@ class ClusterCoordinator:
         self._key_indices = {}
         for index, key in enumerate(self._keys):
             self._key_indices.setdefault(key, []).append(index)
-        self._journal = journal
-        self._journal_lock = asyncio.Lock()
         self._plan = plan
-        self._results = [None] * len(jobs)
-        self._remaining = set()
+        self._results = list(completed)
+        self._remaining = {
+            index for index, stats in enumerate(completed) if stats is None
+        }
         self._queue = deque()
-        completed = journal.completed if journal is not None else {}
-        for index, key in enumerate(self._keys):
-            cached = completed.get(key)
-            if cached is not None:
-                self._results[index] = cached
-            else:
-                self._remaining.add(index)
         await self._consult_cache()
         for index in sorted(self._remaining):
             self._queue.append(_Task(index))
@@ -503,14 +494,21 @@ class ClusterCoordinator:
                     self._results[twin] = stats
             self.cache_hits += 1
 
-    async def _cache_store(self, job: SweepJob, stats: CacheStats) -> None:
-        """Write-through one fresh result (off-loop: the put hits disk)."""
-        cache = self._cache
-        if cache is None:
-            return
-        await asyncio.get_running_loop().run_in_executor(
-            None, functools.partial(cache.put, job, stats.snapshot())
-        )
+    async def _record(self, job: SweepJob, stats: CacheStats, node: str) -> None:
+        """Report who served one fresh result, then persist it off-loop.
+
+        A failed run-store write fails the sweep (a resume must be able
+        to trust what the run reported); the result cache is
+        best-effort.
+        """
+        _obs.cluster_job_served(node, job_label(job))
+        snapshot = stats.snapshot()
+        loop = asyncio.get_running_loop()
+        if self._run_store is not None:
+            await loop.run_in_executor(None, self._run_store.put, job, snapshot)
+        if self._cache is not None:
+            with contextlib.suppress(OSError):
+                await loop.run_in_executor(None, self._cache.put, job, snapshot)
 
     @staticmethod
     def _final(stats: CacheStats | None) -> CacheStats:
@@ -687,23 +685,7 @@ class ClusterCoordinator:
                 self._remaining.discard(index)
                 self._results[index] = stats
             node.stats.completed += 1
-            _obs.cluster_job_served(node.address)
-            await self._journal_write(self._jobs[task.index], stats, node.address)
-            await self._cache_store(self._jobs[task.index], stats)
-
-    async def _journal_write(
-        self, job: SweepJob, stats: CacheStats, node_name: str
-    ) -> None:
-        """Append one result durably without blocking the event loop."""
-        journal = self._journal
-        lock = self._journal_lock
-        if journal is None or lock is None:
-            return
-        loop = asyncio.get_running_loop()
-        async with lock:
-            await loop.run_in_executor(
-                None, functools.partial(journal.record, job, stats, node=node_name)
-            )
+            await self._record(self._jobs[task.index], stats, node.address)
 
     async def _run_local_fallback(self) -> None:
         """Every node is down: finish the sweep in-process, serially.
@@ -733,8 +715,7 @@ class ClusterCoordinator:
                     self._remaining.discard(twin)
                     self._results[twin] = stats
             self.fallback_jobs += 1
-            await self._journal_write(job, stats, "local")
-            await self._cache_store(job, stats)
+            await self._record(job, stats, "local")
 
     def _mark_dead(self, node: NodeHandle, reason: str) -> None:
         node.dead = True
@@ -802,12 +783,13 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--run-id",
         default=None,
-        help="journal under this id (create-or-resume, like bcache-sim)",
+        help="store results under this run id (create-or-resume, like "
+        "bcache-sim)",
     )
     parser.add_argument(
         "--run-root",
         default=None,
-        help="journal root (default $REPRO_RUN_ROOT)",
+        help="run-store root (default $REPRO_RUN_ROOT)",
     )
     parser.add_argument(
         "--inject-faults",

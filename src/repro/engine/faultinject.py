@@ -23,9 +23,10 @@ Fault classes (``FAULT_KINDS``):
     attempt starts; the hardened ``TraceStore`` must quarantine the
     blob and regenerate it from the deterministic seed.
 ``torn_journal``
-    The job's result record is half-written with no trailing newline —
-    what a power loss mid-append leaves behind.  The loader must skip
-    it and the job must re-run on resume.
+    The job's run-store entry is half-written to its temp file and
+    never renamed into place — what a crash between ``write`` and
+    ``os.replace`` leaves behind.  The entry stays absent, so the job
+    must re-run on resume.
 
 Node-level classes (``NODE_KINDS``), consumed by the cluster
 coordinator (:mod:`repro.engine.cluster`) at dispatch time instead of
@@ -55,9 +56,9 @@ only and the retry succeeds.
 
 Run as a module, this file is the CI chaos harness: it executes a
 small sweep twice — cleanly in-process and under an all-five-kinds
-fault plan with journaling — and exits non-zero unless the faulted run
+fault plan with a run id — and exits non-zero unless the faulted run
 recovers to bit-identical statistics and a subsequent resume replays
-them from the journal.
+them from the run store.
 """
 
 from __future__ import annotations
@@ -70,9 +71,10 @@ import tempfile
 import time
 from dataclasses import dataclass
 from random import Random
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 if TYPE_CHECKING:  # avoid an import cycle with resilience/runner
+    from repro.engine.results import ResultCache
     from repro.engine.runner import SweepJob
     from repro.engine.trace_store import TraceStore
 
@@ -294,6 +296,24 @@ def corrupt_job_blobs(store: "TraceStore", job: "SweepJob") -> None:
     log.warning("injected fault: corrupted trace blob %s", path.name)
 
 
+def tear_entry(
+    run_store: "ResultCache", job: "SweepJob", snapshot: dict[str, Any]
+) -> None:
+    """Leave half of the job's framed entry in its temp file (``torn_journal``).
+
+    The rename never happens, exactly as when the process dies between
+    ``write`` and ``os.replace``: the entry stays absent, so a resume
+    re-runs this job and only this job.
+    """
+    from repro.engine.results import frame, job_key, temp_path
+
+    path = run_store.entry_path(run_store.key(job))
+    data = frame({"key": job_key(job), "stats": snapshot})
+    path.parent.mkdir(parents=True, exist_ok=True)
+    temp_path(path).write_text(data[: len(data) // 2], encoding="utf-8")
+    log.warning("injected fault: tore result entry %s before its rename", path.name)
+
+
 # ----------------------------------------------------------------------
 # CI chaos harness
 # ----------------------------------------------------------------------
@@ -306,9 +326,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         prog="python -m repro.engine.faultinject",
         description=(
             "Chaos harness: run a sweep cleanly, re-run it under an "
-            "injected fault plan with journaling, and verify the faulted "
+            "injected fault plan under a run id, and verify the faulted "
             "run recovers to bit-identical statistics (then resumes "
-            "bit-identically from its journal)."
+            "bit-identically from its run store)."
         ),
     )
     parser.add_argument(
@@ -348,7 +368,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument(
         "--run-root",
         default=None,
-        help="journal root (default: a fresh temporary directory)",
+        help="run-store root (default: a fresh temporary directory)",
     )
     args = parser.parse_args(argv)
 
@@ -431,7 +451,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             return 1
         if leak_shm("resume"):
             return 1
-        print("chaos: resume replayed bit-identically from the journal")
+        print("chaos: resume replayed bit-identically from the run store")
     print(f"chaos: PASS ({len(plan)} faults injected and recovered)")
     return 0
 

@@ -1,4 +1,4 @@
-"""Crash-safe sweep execution: retries, timeouts, journal, fallback.
+"""Crash-safe sweep execution: retries, timeouts, run store, fallback.
 
 The plain pool runner (``repro.engine.runner``) assumes a well-behaved
 world: no worker hangs, nothing is OOM-killed, nobody presses Ctrl-C
@@ -16,12 +16,14 @@ only *when and where* a job runs:
   supervised worker process; a worker that exceeds
   ``ResilienceConfig.job_timeout`` is killed and the job is
   rescheduled on a fresh worker.
-* **Crash-consistent result journal** — ``journal.jsonl`` (one
-  CRC32-framed record per completed job, fsync'd append-only) plus an
-  atomically-replaced ``index.json``.  ``run_sweep(..., resume=run_id)``
-  reloads the journal and skips completed jobs, returning their stats
-  bit-identically; a sweep killed with SIGKILL resumes from its last
-  durable record, and torn tail writes are healed on reopen.
+* **Crash-consistent run store** — a ``run_id`` sweep files every
+  completed job in a :class:`~repro.engine.results.ResultCache` rooted
+  at its run directory (one CRC32-framed entry per job, written to a
+  temp file, fsync'd and renamed into place).
+  ``run_sweep(..., resume=run_id)`` looks every job up and skips the
+  ones already stored, returning their stats bit-identically; a sweep
+  killed with SIGKILL resumes from its last renamed entry, and a torn
+  temp file is simply never read.
 * **Graceful degradation** — after ``max_pool_failures`` consecutive
   worker-process failures (crashes or timeouts, not in-job Python
   errors) the supervisor stops forking and finishes the remaining jobs
@@ -38,13 +40,11 @@ injector in :mod:`repro.engine.faultinject` (see ``docs/engine.md``).
 from __future__ import annotations
 
 import contextlib
-import json
 import logging
 import multiprocessing
 import os
 import time
-import zlib
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from multiprocessing.connection import Connection
 from multiprocessing.connection import wait as _conn_wait
 from pathlib import Path
@@ -56,7 +56,9 @@ from repro.engine.faultinject import (
     apply_child_faults,
     apply_inprocess_faults,
     corrupt_job_blobs,
+    tear_entry,
 )
+from repro.engine.results import ResultCache
 from repro.engine.runner import SweepJob, _prewarm, execute_job, job_label
 from repro.engine.shm import Manifest, SharedTraceRegistry
 from repro.engine.trace_store import TraceStore, set_default_store
@@ -66,16 +68,11 @@ from repro.stats.counters import CacheStats
 
 log = logging.getLogger("repro.engine.resilience")
 
-SCHEMA = "bcache-journal/1"
-
 ENV_RUN_ROOT = "REPRO_RUN_ROOT"
-
-JOURNAL_NAME = "journal.jsonl"
-INDEX_NAME = "index.json"
 
 
 def default_run_root() -> Path:
-    """Journal root: ``$REPRO_RUN_ROOT`` or ``~/.cache/bcache-repro/runs``."""
+    """Run-store root: ``$REPRO_RUN_ROOT`` or ``~/.cache/bcache-repro/runs``."""
     env = os.environ.get(ENV_RUN_ROOT)
     if env:
         return Path(env)
@@ -85,7 +82,7 @@ def default_run_root() -> Path:
 
 
 class SweepFailure(RuntimeError):
-    """A job exhausted its retry budget (the journal keeps what finished)."""
+    """A job exhausted its retry budget (the run store keeps what finished)."""
 
 
 # ----------------------------------------------------------------------
@@ -123,8 +120,9 @@ class ResilienceConfig:
             or timeout) after which the supervisor falls back to serial
             in-process execution for the remaining jobs.
         backoff_seed: seed for the jitter generator (deterministic).
-        fsync: flush journal records to stable storage on every append
-            (the crash-consistency guarantee; disable only in tests).
+        fsync: flush run-store entries to stable storage before their
+            rename (the crash-consistency guarantee; disable only in
+            tests).
     """
 
     retry: RetryPolicy = RetryPolicy()
@@ -132,232 +130,6 @@ class ResilienceConfig:
     max_pool_failures: int = 3
     backoff_seed: int = 2006
     fsync: bool = True
-
-
-# ----------------------------------------------------------------------
-# Journal
-# ----------------------------------------------------------------------
-def job_key(job: SweepJob) -> str:
-    """Stable identity of a job across processes and runs."""
-    return json.dumps(asdict(job), sort_keys=True, separators=(",", ":"))
-
-
-def sweep_fingerprint(jobs: Sequence[SweepJob]) -> str:
-    """Order-insensitive CRC of a whole sweep's job keys."""
-    digest = zlib.crc32("\n".join(sorted(job_key(job) for job in jobs)).encode())
-    return f"{digest:08x}"
-
-
-def _frame_line(payload: dict) -> str:
-    """One journal line: ``<crc32-hex> <canonical-json>\\n``."""
-    body = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return f"{zlib.crc32(body.encode()):08x} {body}\n"
-
-
-def _parse_line(raw: str) -> dict | None:
-    """Decode one journal line; ``None`` for torn/corrupt lines."""
-    head, sep, body = raw.partition(" ")
-    if not sep or len(head) != 8:
-        return None
-    try:
-        expected = int(head, 16)
-    except ValueError:
-        return None
-    if zlib.crc32(body.encode()) != expected:
-        return None
-    try:
-        payload = json.loads(body)
-    except json.JSONDecodeError:
-        return None
-    return payload if isinstance(payload, dict) else None
-
-
-def _atomic_write_text(path: Path, text: str, fsync: bool) -> None:
-    tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}")
-    with open(tmp, "w", encoding="utf-8") as handle:
-        handle.write(text)
-        if fsync:
-            handle.flush()
-            os.fsync(handle.fileno())
-    os.replace(tmp, path)
-
-
-class ResultJournal:
-    """Append-only per-run result journal with an atomic index.
-
-    ``journal.jsonl`` holds one CRC32-framed JSON line per event: a
-    header describing the sweep, then one ``result`` record per
-    completed job (full :meth:`CacheStats.snapshot`, so replaying a
-    record is bit-identical to re-running the job).  Records are
-    flushed and (by default) fsync'd on append — a record either fully
-    survives a crash or is a torn tail that the loader skips and the
-    next append heals.  ``index.json`` is a small progress summary
-    replaced atomically after every record; the journal itself is
-    authoritative on resume.
-    """
-
-    def __init__(self, run_dir: str | Path, fsync: bool = True) -> None:
-        self.run_dir = Path(run_dir)
-        self.path = self.run_dir / JOURNAL_NAME
-        self.index_path = self.run_dir / INDEX_NAME
-        self.fsync = fsync
-        self.completed: dict[str, CacheStats] = {}
-        self.header: dict | None = None
-        self.corrupt_lines = 0
-        self.torn_writes = 0
-        self.total_jobs = 0
-        self._handle = None
-        self._tail_needs_newline = False
-        self._load()
-
-    # -- loading -------------------------------------------------------
-    def _load(self) -> None:
-        if not self.path.is_file():
-            return
-        for raw in self.path.read_text(encoding="utf-8").split("\n"):
-            if not raw.strip():
-                continue
-            payload = _parse_line(raw)
-            if payload is None:
-                self.corrupt_lines += 1
-                continue
-            kind = payload.get("kind")
-            if kind == "header":
-                if self.header is None:
-                    self.header = payload
-                    self.total_jobs = int(payload.get("total_jobs", 0))
-            elif kind == "result":
-                try:
-                    stats = CacheStats.from_snapshot(payload["stats"])
-                    key = json.dumps(
-                        payload["job"], sort_keys=True, separators=(",", ":")
-                    )
-                except (KeyError, TypeError, ValueError):
-                    self.corrupt_lines += 1
-                    continue
-                self.completed[key] = stats
-        if self.corrupt_lines:
-            log.warning(
-                "journal %s: skipped %d torn/corrupt line(s); the jobs they "
-                "described will simply re-run",
-                self.path,
-                self.corrupt_lines,
-            )
-
-    # -- appending -----------------------------------------------------
-    def open_run(self, run_id: str, jobs: Sequence[SweepJob]) -> None:
-        """Open (or reopen) the journal for appending this sweep's results."""
-        self.run_dir.mkdir(parents=True, exist_ok=True)
-        fingerprint = sweep_fingerprint(jobs)
-        if self.header is not None and self.header.get("fingerprint") != fingerprint:
-            log.warning(
-                "resuming run %r against a different job list (fingerprint "
-                "%s != %s); records for matching jobs are still reused",
-                run_id,
-                fingerprint,
-                self.header.get("fingerprint"),
-            )
-        self._tail_needs_newline = self._tail_dirty()
-        self._handle = open(self.path, "ab")
-        if self.header is None:
-            self._append_line(
-                {
-                    "kind": "header",
-                    "schema": SCHEMA,
-                    "run_id": run_id,
-                    "total_jobs": len(jobs),
-                    "fingerprint": fingerprint,
-                }
-            )
-            self.header = {
-                "kind": "header",
-                "schema": SCHEMA,
-                "run_id": run_id,
-                "total_jobs": len(jobs),
-                "fingerprint": fingerprint,
-            }
-        self.total_jobs = len(jobs)
-        self.write_index()
-
-    def _tail_dirty(self) -> bool:
-        """Did a previous run die mid-append (no trailing newline)?"""
-        if not self.path.is_file() or self.path.stat().st_size == 0:
-            return False
-        with open(self.path, "rb") as handle:
-            handle.seek(-1, os.SEEK_END)
-            return handle.read(1) != b"\n"
-
-    def _append(self, data: bytes) -> None:
-        assert self._handle is not None, "journal is not open for appending"
-        if self._tail_needs_newline:
-            # Heal a torn tail (killed run or injected torn write) so
-            # this record starts on its own parseable line.
-            self._handle.write(b"\n")
-            self._tail_needs_newline = False
-        self._handle.write(data)
-        self._handle.flush()
-        if self.fsync:
-            os.fsync(self._handle.fileno())
-
-    def _append_line(self, payload: dict) -> None:
-        self._append(_frame_line(payload).encode())
-
-    def record(
-        self,
-        job: SweepJob,
-        stats: CacheStats,
-        torn: bool = False,
-        node: str | None = None,
-    ) -> None:
-        """Durably append one completed job's stats.
-
-        ``node`` (cluster sweeps) records which endpoint served the
-        job — provenance only; the loader ignores it, so local and
-        cluster journals resume interchangeably and bit-identically.
-
-        ``torn=True`` (fault injection only) simulates a crash
-        mid-append: half the bytes reach the file, no newline, and the
-        record does **not** count as completed — exactly what a power
-        loss between ``write`` and ``fsync`` leaves behind.
-        """
-        payload: dict[str, object] = {
-            "kind": "result",
-            "job": asdict(job),
-            "stats": stats.snapshot(),
-        }
-        if node is not None:
-            payload["node"] = node
-        data = _frame_line(payload).encode()
-        if torn:
-            self._append(data[: max(1, len(data) // 2)])
-            self._tail_needs_newline = True
-            self.torn_writes += 1
-            return
-        self._append(data)
-        self.completed[job_key(job)] = stats
-        self.write_index()
-
-    def write_index(self) -> None:
-        """Atomically replace ``index.json`` with current progress."""
-        run_id = (self.header or {}).get("run_id")
-        index = {
-            "schema": SCHEMA,
-            "run_id": run_id,
-            "completed": len(self.completed),
-            "total_jobs": self.total_jobs,
-            "corrupt_lines": self.corrupt_lines,
-        }
-        _atomic_write_text(
-            self.index_path,
-            json.dumps(index, indent=2, sort_keys=True) + "\n",
-            self.fsync,
-        )
-
-    def close(self) -> None:
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
-            self.write_index()
 
 
 # ----------------------------------------------------------------------
@@ -487,7 +259,7 @@ def _spawn(
 
 def _commit(
     results: list,
-    journal: ResultJournal | None,
+    run_store: ResultCache | None,
     jobs: Sequence[SweepJob],
     index: int,
     attempt: int,
@@ -495,9 +267,12 @@ def _commit(
     plan: FaultPlan | None,
 ) -> None:
     results[index] = stats
-    if journal is not None:
-        torn = bool(plan and plan.matches("torn_journal", index, attempt))
-        journal.record(jobs[index], stats, torn=torn)
+    if run_store is None:
+        return
+    if plan is not None and plan.matches("torn_journal", index, attempt):
+        tear_entry(run_store, jobs[index], stats.snapshot())
+    else:
+        run_store.put(jobs[index], stats.snapshot())
 
 
 def _schedule_retry(
@@ -560,7 +335,7 @@ def _run_supervised(
     results: list,
     store: TraceStore,
     config: ResilienceConfig,
-    journal: ResultJournal | None,
+    run_store: ResultCache | None,
     plan: FaultPlan | None,
     workers: int,
     sanitize: bool,
@@ -595,7 +370,7 @@ def _run_supervised(
                     consecutive_failures = 0
                     _commit(
                         results,
-                        journal,
+                        run_store,
                         jobs,
                         worker.index,
                         worker.attempt,
@@ -647,7 +422,7 @@ def _run_supervised(
             len(degraded),
         )
         _run_serial_entries(
-            jobs, degraded, results, store, config, journal, plan, sanitize, rng
+            jobs, degraded, results, store, config, run_store, plan, sanitize, rng
         )
 
 
@@ -657,7 +432,7 @@ def _run_serial_entries(
     results: list,
     store: TraceStore,
     config: ResilienceConfig,
-    journal: ResultJournal | None,
+    run_store: ResultCache | None,
     plan: FaultPlan | None,
     sanitize: bool,
     rng: Random,
@@ -705,13 +480,40 @@ def _run_serial_entries(
                 time.sleep(delay)
                 attempt += 1
             else:
-                _commit(results, journal, jobs, index, attempt, stats, plan)
+                _commit(results, run_store, jobs, index, attempt, stats, plan)
                 break
 
 
 # ----------------------------------------------------------------------
 # Entry point (reached via run_sweep's resilience kwargs)
 # ----------------------------------------------------------------------
+def load_completed(
+    run_store: ResultCache, jobs: Sequence[SweepJob]
+) -> list[CacheStats | None]:
+    """Stats the run store already holds for each job, else ``None``.
+
+    A corrupt entry is quarantined by the store and its job re-runs;
+    one warning reports how many were set aside.
+    """
+    found: list[CacheStats | None] = []
+    for job in jobs:
+        snapshot = run_store.get(job)
+        try:
+            found.append(
+                CacheStats.from_snapshot(snapshot) if snapshot is not None else None
+            )
+        except ValueError:
+            found.append(None)
+    if run_store.quarantined:
+        log.warning(
+            "run store %s: quarantined %d corrupt entry(ies); the jobs "
+            "they held will simply re-run",
+            run_store.root,
+            run_store.quarantined,
+        )
+    return found
+
+
 def run_resilient(
     jobs: Iterable[SweepJob],
     workers: int,
@@ -724,39 +526,31 @@ def run_resilient(
 ) -> list[CacheStats]:
     """Run a sweep crash-safely; returns stats order-aligned with jobs.
 
-    With ``run_id`` every completed job is journaled durably under
-    ``<run_root>/<run_id>/``; if that journal already holds records
-    (an earlier run of the same id, killed or completed), matching
-    jobs are skipped and their journaled stats returned bit-identically.
+    With ``run_id`` every completed job is stored durably in a
+    :class:`~repro.engine.results.ResultCache` rooted at
+    ``<run_root>/<run_id>/``; jobs it already holds (from an earlier
+    run of the same id, killed or completed, under the same engine
+    fingerprint) are skipped and their stats returned bit-identically.
     """
     jobs = list(jobs)
     rng = Random(config.backoff_seed)
-    journal: ResultJournal | None = None
+    run_store: ResultCache | None = None
+    route_log: contextlib.AbstractContextManager[None] = contextlib.nullcontext()
     if run_id:
-        run_dir = Path(run_root) / run_id if run_root else default_run_root() / run_id
-        journal = ResultJournal(run_dir, fsync=config.fsync)
-        journal.open_run(run_id, jobs)
-    # Journaled runs route telemetry beside journal.jsonl so bcache-top
-    # (and post-mortems) find one self-contained run directory.
-    route_log = (
-        obs_events.log_to(journal.run_dir / "events.jsonl")
-        if journal is not None
-        else contextlib.nullcontext()
-    )
-    try:
-        with route_log, obs_events.span(
-            "engine.resilient_sweep",
-            run_id=run_id or "",
-            jobs=len(jobs),
-            workers=workers,
-        ):
-            results = _resilient_body(
-                jobs, workers, store, config, sanitize, journal, fault_plan, rng
-            )
-        return results
-    finally:
-        if journal is not None:
-            journal.close()
+        run_dir = Path(run_root or default_run_root()) / run_id
+        run_store = ResultCache(run_dir, fsync=config.fsync)
+        # Telemetry lands in the run directory too, so bcache-top (and
+        # post-mortems) find one self-contained directory per run.
+        route_log = obs_events.log_to(run_dir / "events.jsonl")
+    with route_log, obs_events.span(
+        "engine.resilient_sweep",
+        run_id=run_id or "",
+        jobs=len(jobs),
+        workers=workers,
+    ):
+        return _resilient_body(
+            jobs, workers, store, config, sanitize, run_store, fault_plan, rng
+        )
 
 
 def _resilient_body(
@@ -765,15 +559,17 @@ def _resilient_body(
     store: TraceStore,
     config: ResilienceConfig,
     sanitize: bool,
-    journal: ResultJournal | None,
+    run_store: ResultCache | None,
     fault_plan: FaultPlan | None,
     rng: Random,
 ) -> list[CacheStats]:
     """Resume bookkeeping + dispatch (parent events already routed)."""
     results: list[CacheStats] = [None] * len(jobs)  # type: ignore[list-item]
     todo: list[int] = []
-    for index, job in enumerate(jobs):
-        done = journal.completed.get(job_key(job)) if journal else None
+    completed: list[CacheStats | None] = [None] * len(jobs)
+    if run_store is not None:
+        completed = load_completed(run_store, jobs)
+    for index, done in enumerate(completed):
         if done is not None:
             results[index] = done
         else:
@@ -791,7 +587,7 @@ def _resilient_body(
                 results,
                 store,
                 config,
-                journal,
+                run_store,
                 fault_plan,
                 sanitize,
                 rng,
@@ -806,7 +602,7 @@ def _resilient_body(
                     results,
                     store,
                     config,
-                    journal,
+                    run_store,
                     fault_plan,
                     min(workers, len(todo)),
                     sanitize,

@@ -20,7 +20,7 @@ sanitizer's value is the invariant trail, not throughput.
 Long or flaky sweeps should opt into the crash-safe path via the
 ``run_id``/``resume``/``resilience`` keywords of :func:`run_sweep`,
 which delegate to :mod:`repro.engine.resilience` (per-job retries,
-hung-worker timeouts, a durable result journal, serial fallback) —
+hung-worker timeouts, a durable run store, serial fallback) —
 see ``docs/engine.md``.
 """
 
@@ -202,29 +202,29 @@ def run_sweep(
         sanitize: shadow-check every access — forces the serial
             per-access path (the parallel batch kernels bypass the
             per-access hooks by design).  Composes with ``run_id``:
-            a sanitized run is journaled and resumable like any other.
+            a sanitized run is stored and resumable like any other.
         store: trace store to use (defaults to the process-wide one).
-        run_id: journal completed jobs durably under
+        run_id: store completed jobs durably under
             ``<run_root>/<run_id>/`` and resume from any existing
-            journal with that id (create-or-resume semantics).
+            run store with that id (create-or-resume semantics).
         resume: explicit alias for ``run_id`` that reads better at call
             sites restarting a killed sweep; if both are given they
             must agree.
         resilience: retry/timeout/fallback knobs
             (:class:`repro.engine.resilience.ResilienceConfig`); any
             non-``None`` value routes execution through the resilient
-            supervisor even without a journal.
+            supervisor even without a run id.
         fault_plan: deterministic fault injection
             (:class:`repro.engine.faultinject.FaultPlan`) — testing/CI
             only.
-        run_root: journal root override (default ``$REPRO_RUN_ROOT`` or
+        run_root: run-store root override (default ``$REPRO_RUN_ROOT`` or
             ``~/.cache/bcache-repro/runs``).
 
     Plain calls (no resilience kwargs) keep the fast pool path; any of
     ``run_id``/``resume``/``resilience``/``fault_plan`` routes through
     :func:`repro.engine.resilience.run_resilient`, which adds per-job
     retries, wall-clock timeouts with hung-worker replacement, the
-    crash-consistent journal, and serial fallback after repeated pool
+    crash-consistent run store, and serial fallback after repeated pool
     failures — still bit-identical to a serial run.
     """
     jobs = list(jobs)

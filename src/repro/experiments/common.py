@@ -137,7 +137,7 @@ def sweep_stats(
     trace (see ``docs/engine.md``).
 
     ``run_id``/``resume`` opt into the crash-safe engine path: every
-    completed (spec, benchmark) cell is journaled durably and a rerun
+    completed (spec, benchmark) cell is stored durably and a rerun
     with the same id skips completed cells bit-identically — use it
     for FULL-scale panels that must survive a kill mid-run.
     """

@@ -61,7 +61,7 @@ def run(
 ) -> Fig3Result:
     """Run the MF sweep of Figure 3 (parallelised across ``jobs``).
 
-    ``run_id`` journals each MF point durably and resumes a previously
+    ``run_id`` stores each MF point durably and resumes a previously
     killed sweep bit-identically (see ``docs/engine.md``).
     """
     specs = [f"mf{mf}_bas8" for mf in mapping_factors]

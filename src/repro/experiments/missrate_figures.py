@@ -79,7 +79,7 @@ def run_panel(
 
     The (spec x benchmark) grid goes through the engine's sweep runner:
     ``jobs`` (default ``$REPRO_JOBS``) fans the jobs across processes
-    with bit-identical results.  ``run_id`` journals every grid cell
+    with bit-identical results.  ``run_id`` stores every grid cell
     durably so a killed panel resumes where it stopped (see
     ``docs/engine.md``).
     """
@@ -124,8 +124,8 @@ class Fig4Result:
 
 
 def _sub_id(run_id: str | None, suffix: str) -> str | None:
-    """Derive a per-panel journal id (multi-panel figures get one
-    journal per panel so each resumes independently)."""
+    """Derive a per-panel run id (multi-panel figures get one run
+    store per panel so each resumes independently)."""
     return f"{run_id}-{suffix}" if run_id else None
 
 

@@ -13,10 +13,9 @@ tier      behaviour
 
 The event log is a plain JSONL file (one JSON object per line, each
 line written with a single ``write`` on an ``O_APPEND`` handle, flushed
-immediately).  That makes it *crash-safe the same way the resilience
-journal is*: a crash can tear at most the final line, and the readers
-(:func:`read_events` / :func:`tail_events`) skip a torn tail instead of
-failing — ``bcache-top`` keeps rendering through a dying run.  Multiple
+immediately).  That makes it crash-safe: a crash can tear at most the
+final line, and the readers (:func:`read_events` /
+:func:`tail_events`) skip a torn tail instead of failing — ``bcache-top`` keeps rendering through a dying run.  Multiple
 processes (the sweep supervisor and its workers) may append to the same
 log; per-line appends keep records intact.
 
@@ -67,7 +66,7 @@ MODES = ("off", "events", "full")
 def default_log_path() -> Path:
     """Event-log path: ``$REPRO_OBS_LOG`` or the run root's ``events.jsonl``.
 
-    Mirrors the resilience journal's root resolution
+    Mirrors the resilience run store's root resolution
     (``$REPRO_RUN_ROOT`` → ``~/.cache/bcache-repro/runs``) without
     importing the engine — obs must stay a leaf dependency.
     """
@@ -239,8 +238,9 @@ def active_log_path() -> Path:
 def log_to(path: str | Path) -> Iterator[None]:
     """Temporarily route events to ``path`` (no-op while tier is off).
 
-    The resilient sweep supervisor wraps each journaled run in this so
-    the event log lands beside ``journal.jsonl`` in the run directory.
+    The resilient sweep supervisor and the cluster coordinator wrap
+    each ``run_id`` sweep in this so the event log lands in the run
+    directory, beside the run store's entries.
     """
     state = _state()
     if state.mode == "off":

@@ -481,8 +481,13 @@ def cluster_redispatch(node: str, jobs: int) -> None:
     events.emit("cluster.redispatch", node=node, jobs=jobs)
 
 
-def cluster_job_served(node: str) -> None:
-    """One job's result was merged from this node (first result wins)."""
+def cluster_job_served(node: str, job: str) -> None:
+    """One job's result was merged from this node (first result wins).
+
+    ``node`` is the serving endpoint, or ``"local"`` for the in-process
+    fallback; the event is the sweep's per-job provenance record.
+    """
+    events.emit("cluster.job_served", job=job, node=node)
     default_registry().counter(
         "repro_cluster_jobs_total",
         "Jobs completed by the cluster, by serving node",

@@ -1,6 +1,6 @@
 """``repro.serve`` — the simulation engine as a network service.
 
-Eight pieces (see ``docs/serve.md`` and ``docs/gateway.md``):
+Seven pieces (see ``docs/serve.md`` and ``docs/gateway.md``):
 
 * :mod:`repro.serve.protocol` — length-prefixed JSON framing with a
   sans-IO incremental decoder and asyncio stream helpers;
@@ -8,11 +8,9 @@ Eight pieces (see ``docs/serve.md`` and ``docs/gateway.md``):
   trace-affinity routing, restart-on-crash and in-process fallback;
 * :mod:`repro.serve.batcher` — the micro-batching coalescer that turns
   many concurrent ``simulate`` requests into few worker round-trips,
-  with cross-window singleflight on identical jobs;
-* :mod:`repro.serve.resultcache` — the content-addressed result cache
-  (canonical job keys, engine fingerprint invalidation, memory LRU over
-  a crash-safe CRC-framed disk tier) and the :class:`Singleflight`
-  request collapser;
+  with cross-window singleflight on identical jobs, and the
+  :class:`Singleflight` request collapser the server runs in front of
+  the result cache (:class:`repro.engine.results.ResultCache`);
 * :mod:`repro.serve.admission` — per-client token-bucket rate limiting
   and weighted fair queueing in front of the in-flight budget;
 * :mod:`repro.serve.server` — the ``bcache-serve`` asyncio TCP/Unix
@@ -34,7 +32,13 @@ from repro.serve.admission import (
     RateLimited,
     TokenBucket,
 )
-from repro.serve.batcher import BatchMetrics, MicroBatcher, SimulationError
+from repro.engine.results import ResultCache, engine_fingerprint, job_hash
+from repro.serve.batcher import (
+    BatchMetrics,
+    MicroBatcher,
+    SimulationError,
+    Singleflight,
+)
 from repro.serve.client import (
     AsyncServeClient,
     DrainingError,
@@ -53,14 +57,6 @@ from repro.serve.protocol import (
     encode_frame,
     read_frame,
     write_frame,
-)
-from repro.serve.resultcache import (
-    CacheKeyError,
-    ResultCache,
-    Singleflight,
-    canonical_job_key,
-    engine_fingerprint,
-    job_hash,
 )
 from repro.serve.server import ServeConfig, SimServer
 from repro.serve.workers import ShardPool
@@ -84,7 +80,6 @@ __all__ = [
     "AdmissionOverload",
     "AsyncServeClient",
     "BatchMetrics",
-    "CacheKeyError",
     "DrainingError",
     "FrameDecoder",
     "FrameTooLarge",
@@ -106,7 +101,6 @@ __all__ = [
     "SimulationError",
     "Singleflight",
     "TokenBucket",
-    "canonical_job_key",
     "decode_payload",
     "encode_frame",
     "engine_fingerprint",

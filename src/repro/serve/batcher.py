@@ -12,15 +12,19 @@ job.  Two levels of coalescing happen:
   one pending entry and share a single execution; every waiter gets the
   same snapshot.  Simulations are pure functions of the job, so this is
   semantically invisible.  Jobs are identified by the **canonical** key
-  of :func:`repro.serve.resultcache.canonical_job_key` (sorted keys,
-  fixed separators, normalised scalars) so representation drift cannot
-  split one logical job across two entries.
+  of :func:`repro.engine.results.job_key` (sorted keys, fixed
+  separators) so representation drift cannot split one logical job
+  across two entries.
 * **Cross-window singleflight** — coalescing does not stop when the
   window closes: a job whose batch is already executing keeps accepting
   waiters until its result lands, so a burst of identical requests
   spanning many windows still costs one execution.
 * **Batch coalescing** — distinct jobs bound for the same shard within
   the window travel in one pipe message, amortising IPC and scheduling.
+
+:class:`Singleflight` applies the same collapse one layer up: the server
+runs each result-cache miss through it, so concurrent identical
+requests share one ``submit`` for the whole execution.
 
 The flush trigger is whichever comes first: the window timer, or the
 pending set reaching ``max_batch`` entries.  Metrics
@@ -34,13 +38,13 @@ from __future__ import annotations
 import asyncio
 import time
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Awaitable, Callable
 
+from repro.engine.results import job_key
 from repro.engine.runner import SweepJob
 from repro.obs import events as obs_events
 from repro.obs import instrument as _obs
 from repro.obs.tracectx import TraceContext
-from repro.serve.resultcache import canonical_job_key
 from repro.serve.workers import ShardPool
 
 
@@ -129,7 +133,7 @@ class MicroBatcher:
         for this job.
         """
         loop = asyncio.get_running_loop()
-        key = canonical_job_key(job)
+        key = job_key(job)
         self.metrics.requests += 1
         executing = self._executing.get(key)
         if executing is not None:
@@ -304,3 +308,75 @@ class MicroBatcher:
     def pending_jobs(self) -> int:
         """Distinct jobs currently waiting for a flush."""
         return sum(len(bucket) for bucket in self._pending.values())
+
+
+class Singleflight:
+    """Collapse concurrent identical async work: one execution, N waiters.
+
+    The first caller of :meth:`run` for a key becomes the **leader**
+    and starts the supplier; every caller that arrives while that
+    execution is in flight awaits the same task and receives the same
+    result (or exception).  Unlike the micro-batcher's gather window,
+    this holds for the *entire* execution, so identical jobs collapse
+    across batch windows too.
+
+    The execution runs in its **own task**, tied to the flight rather
+    than to the leader's request coroutine: a leader whose connection
+    is torn down mid-flight (``CancelledError``) does not poison the
+    waiters — they keep awaiting the shielded execution and still get
+    the real result.  The work is only cancelled when the *last*
+    interested caller goes away.
+
+    Single event loop only (plain dict state, no locks needed).
+    """
+
+    def __init__(self) -> None:
+        self._inflight: dict[str, asyncio.Task[Any]] = {}
+        self._interest: dict[str, int] = {}
+        self.leaders = 0
+        self.waits = 0
+
+    def inflight(self) -> int:
+        return len(self._inflight)
+
+    async def run(
+        self, key: str, supplier: Callable[[], Awaitable[Any]]
+    ) -> tuple[Any, bool]:
+        """``(result, shared)``: shared is True for non-leader callers."""
+        task = self._inflight.get(key)
+        shared = task is not None
+        if shared:
+            self.waits += 1
+            _obs.resultcache_singleflight()
+        else:
+            task = asyncio.get_running_loop().create_task(supplier())
+            self._inflight[key] = task
+            self._interest[key] = 0
+            self.leaders += 1
+        self._interest[key] += 1
+        try:
+            result = await asyncio.shield(task)
+        except asyncio.CancelledError:
+            if task.done():
+                self._forget(key, task)
+            else:
+                # This caller was torn down; the execution outlives it
+                # for the sake of the other interested callers.  Only
+                # the last one to leave cancels the work.
+                remaining = self._interest.get(key, 1) - 1
+                self._interest[key] = remaining
+                if remaining <= 0:
+                    self._forget(key, task)
+                    task.cancel()
+            raise
+        except BaseException:
+            self._forget(key, task)
+            raise
+        self._forget(key, task)
+        return result, shared
+
+    def _forget(self, key: str, task: asyncio.Task[Any]) -> None:
+        """Retire a finished (or abandoned) flight; idempotent."""
+        if self._inflight.get(key) is task:
+            self._inflight.pop(key, None)
+            self._interest.pop(key, None)

@@ -28,10 +28,10 @@ from __future__ import annotations
 import asyncio
 import socket
 import time
-from dataclasses import asdict
 from random import Random
 from typing import Any, Sequence
 
+from repro.engine.results import job_to_wire
 from repro.engine.runner import SweepJob
 from repro.serve.protocol import (
     MAX_FRAME_BYTES,
@@ -105,10 +105,6 @@ def _raise_for_error(response: dict[str, Any]) -> None:
     if code == "draining":
         raise DrainingError(code, detail)
     raise ServeError(code, detail)
-
-
-def _job_payload(job: SweepJob | dict[str, Any]) -> dict[str, Any]:
-    return asdict(job) if isinstance(job, SweepJob) else dict(job)
 
 
 def _stats_from(response: dict[str, Any]) -> CacheStats:
@@ -236,17 +232,17 @@ class ServeClient:
                 self._sock.settimeout(self.timeout)
 
     # -- ops -----------------------------------------------------------
-    def simulate(self, job: SweepJob | dict[str, Any]) -> CacheStats:
-        return _stats_from(self.request({"op": "simulate", **_job_payload(job)}))
+    def simulate(self, job: SweepJob) -> CacheStats:
+        return _stats_from(self.request({"op": "simulate", **job_to_wire(job)}))
 
     def sweep(
         self,
-        jobs: Sequence[SweepJob | dict[str, Any]],
+        jobs: Sequence[SweepJob],
         trace: str | None = None,
     ) -> list[CacheStats]:
         payload: dict[str, Any] = {
             "op": "sweep",
-            "jobs": [_job_payload(job) for job in jobs],
+            "jobs": [job_to_wire(job) for job in jobs],
         }
         if trace:
             payload["trace"] = trace
@@ -333,17 +329,17 @@ class AsyncServeClient:
         await write_frame(self._writer, payload, self.max_frame)
         return await read_frame(self._reader, self.max_frame)
 
-    async def simulate(self, job: SweepJob | dict[str, Any]) -> CacheStats:
-        return _stats_from(await self.request({"op": "simulate", **_job_payload(job)}))
+    async def simulate(self, job: SweepJob) -> CacheStats:
+        return _stats_from(await self.request({"op": "simulate", **job_to_wire(job)}))
 
     async def sweep(
         self,
-        jobs: Sequence[SweepJob | dict[str, Any]],
+        jobs: Sequence[SweepJob],
         trace: str | None = None,
     ) -> list[CacheStats]:
         payload: dict[str, Any] = {
             "op": "sweep",
-            "jobs": [_job_payload(job) for job in jobs],
+            "jobs": [job_to_wire(job) for job in jobs],
         }
         if trace:
             payload["trace"] = trace

@@ -45,9 +45,7 @@ from pathlib import Path
 from random import Random
 from typing import Any
 
-from dataclasses import asdict
-
-from repro.engine.resilience import job_key
+from repro.engine.results import job_key, job_to_wire
 from repro.engine.runner import SweepJob, execute_job
 from repro.serve.client import (
     AsyncServeClient,
@@ -170,7 +168,7 @@ class GatewayClient:
 
     async def simulate(self, job: SweepJob) -> CacheStats:
         code, headers, response = await self._request(
-            "POST", "/v1/simulate", asdict(job)
+            "POST", "/v1/simulate", job_to_wire(job)
         )
         if code == 429:
             retry_after = float(headers.get("retry-after", "1"))

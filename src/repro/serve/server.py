@@ -31,9 +31,10 @@ Scale-out shape (the part that transfers to any serving stack):
   instead of unbounded queueing; oversized frames are rejected from the
   header alone.
 * **Result caching** — with ``--result-cache`` a content-addressed
-  result cache (:mod:`repro.serve.resultcache`) answers repeated jobs
-  from memory or disk without touching a worker, and a singleflight
-  layer collapses concurrent identical jobs to one execution.
+  result cache (:class:`repro.engine.results.ResultCache`) answers
+  repeated jobs from memory or disk without touching a worker, and a
+  singleflight layer collapses concurrent identical jobs to one
+  execution.
 * **Graceful drain** — on SIGTERM (or the ``drain`` op) the listeners
   close first (new connections are refused), in-flight requests finish
   and are answered, the batcher flushes, the shards stop, and the
@@ -57,6 +58,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
+from repro.engine.results import BadJob, ResultCache, job_from_wire
 from repro.engine.runner import SweepJob, available_cpus
 from repro.engine.trace_store import TraceStore, default_store
 from repro.obs import events as obs_events
@@ -71,8 +73,7 @@ from repro.serve.admission import (
     AdmissionOverload,
     RateLimited,
 )
-from repro.serve.batcher import MicroBatcher, SimulationError
-from repro.serve.resultcache import CacheKeyError, ResultCache, Singleflight
+from repro.serve.batcher import MicroBatcher, SimulationError, Singleflight
 from repro.serve.protocol import (
     MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
@@ -82,15 +83,6 @@ from repro.serve.protocol import (
     write_frame,
 )
 from repro.serve.workers import ShardPool
-
-#: Fields a ``simulate`` request may set on its :class:`SweepJob`.
-JOB_FIELDS = frozenset(
-    {"spec", "benchmark", "side", "n", "seed", "size", "line_size", "policy",
-     "with_kinds"}
-)
-
-#: Hard cap on one job's trace length (memory admission control).
-MAX_TRACE_N = 2_000_000
 
 #: Default TCP port (the paper is ISCA 2006).
 DEFAULT_PORT = 4006
@@ -163,43 +155,6 @@ class ServerMetrics:
     protocol_errors: int = 0
     connections_total: int = 0
     started_at: float = field(default_factory=time.monotonic)
-
-
-def _job_from_payload(payload: dict[str, Any]) -> SweepJob:
-    """Validate one job description and build its :class:`SweepJob`."""
-    unknown = set(payload) - JOB_FIELDS
-    if unknown:
-        raise BadRequest(f"unknown job field(s): {', '.join(sorted(unknown))}")
-    if "spec" not in payload or "benchmark" not in payload:
-        raise BadRequest("job needs at least 'spec' and 'benchmark'")
-    try:
-        job = SweepJob(**payload)
-    except TypeError as exc:
-        raise BadRequest(f"bad job description: {exc}") from exc
-    if not isinstance(job.spec, str) or not isinstance(job.benchmark, str):
-        raise BadRequest("'spec' and 'benchmark' must be strings")
-    if (isinstance(job.n, bool) or not isinstance(job.n, int)
-            or not 0 < job.n <= MAX_TRACE_N):
-        raise BadRequest(f"'n' must be an int in (0, {MAX_TRACE_N}]")
-    # Every remaining field is type-checked too: these all feed the
-    # canonical result-cache/coalescing key, which only admits exact
-    # scalars — an unchecked {"seed": 1.5} would otherwise surface as
-    # a CacheKeyError deep in the batcher instead of a bad_request.
-    for name in ("seed", "size", "line_size"):
-        value = getattr(job, name)
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise BadRequest(f"{name!r} must be an int")
-    if job.size <= 0 or job.line_size <= 0:
-        raise BadRequest("'size' and 'line_size' must be positive")
-    if not isinstance(job.policy, str):
-        raise BadRequest("'policy' must be a string")
-    if not isinstance(job.with_kinds, bool):
-        raise BadRequest("'with_kinds' must be a boolean")
-    if job.side not in ("data", "instr", "combined"):
-        raise BadRequest(f"bad side {job.side!r}")
-    if job.side == "combined" and not job.with_kinds:
-        raise BadRequest("side 'combined' requires with_kinds=true")
-    return job
 
 
 class SimServer:
@@ -546,11 +501,7 @@ class SimServer:
                 self.request_drain()
                 return {"ok": True, "draining": True}
             raise BadRequest(f"unknown op {op!r}")
-        except (BadRequest, CacheKeyError) as exc:
-            # CacheKeyError is the canonical-key layer rejecting a job
-            # field _job_from_payload let through — still the client's
-            # fault, so answer bad_request instead of dropping the
-            # connection.
+        except (BadRequest, BadJob) as exc:
             self.metrics.errors += 1
             return {"ok": False, "error": "bad_request", "detail": str(exc)}
 
@@ -570,7 +521,7 @@ class SimServer:
     ) -> dict[str, Any]:
         if self._draining:
             return {"ok": False, "error": "draining"}
-        job = _job_from_payload(
+        job = job_from_wire(
             {k: v for k, v in payload.items()
              if k not in ("op", "id", "client", "trace")}
         )
@@ -600,7 +551,7 @@ class SimServer:
         if not isinstance(raw_jobs, list) or not raw_jobs:
             raise BadRequest("'sweep' needs a non-empty 'jobs' list")
         jobs = [
-            _job_from_payload(entry) if isinstance(entry, dict)
+            job_from_wire(entry) if isinstance(entry, dict)
             else self._reject_job(entry)
             for entry in raw_jobs
         ]

@@ -33,7 +33,7 @@ import threading
 import time
 import zlib
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from random import Random
 from multiprocessing.connection import Connection
 from typing import TYPE_CHECKING, Any, Sequence
@@ -48,7 +48,7 @@ from repro.obs.metrics import default_registry
 from repro.obs.tracectx import TraceContext
 
 if TYPE_CHECKING:  # annotation only; the pool works without a cache
-    from repro.serve.resultcache import ResultCache
+    from repro.engine.results import ResultCache
 
 #: One batch result entry: ``("ok", snapshot)`` or ``("error", message)``.
 ShardResult = tuple[str, Any]
@@ -57,7 +57,7 @@ ShardResult = tuple[str, Any]
 def _shard_entry(
     conn: Connection, store_root: str, obs_mode: str = "off", obs_log: str = ""
 ) -> None:
-    """Worker process: serve ``("batch", [job dicts])`` until ``("stop",)``.
+    """Worker process: serve ``("batch", [jobs])`` until ``("stop",)``.
 
     Every job runs through :func:`execute_job` — the single execution
     path shared with the sweep runner and the serial harness — so a
@@ -76,7 +76,7 @@ def _shard_entry(
     so ``/metrics`` covers the workers, not just the parent process.
 
     Batches may also carry a fourth element: per-job trace contexts
-    (``traceparent`` strings or ``None``, aligned with the payloads).
+    (``traceparent`` strings or ``None``, aligned with the jobs).
     A traced job's ``execute_job`` call is timed into a ``kernel``
     stage-span record — built *here*, with this process's clocks and
     pid — and the records travel back as the span deltas, which the
@@ -103,12 +103,12 @@ def _shard_entry(
         )
         results: list[ShardResult] = []
         span_deltas: list[dict[str, Any]] = []
-        for index, payload in enumerate(message[1]):
+        for index, job in enumerate(message[1]):
             wire = traces[index] if index < len(traces) else None
             ctx = TraceContext.from_wire(wire) if wire else None
             started = time.monotonic()
             try:
-                stats = execute_job(SweepJob(**payload))
+                stats = execute_job(job)
             except Exception as exc:
                 results.append(("error", f"{type(exc).__name__}: {exc}"))
             else:
@@ -116,7 +116,7 @@ def _shard_entry(
             if ctx is not None and ctx.sampled and obs_events.enabled():
                 span_deltas.append(_obs.stage_record(
                     "kernel", ctx, time.monotonic() - started,
-                    benchmark=payload.get("benchmark", ""),
+                    benchmark=job.benchmark,
                 ))
         deltas = (
             default_registry().drain_deltas()
@@ -170,7 +170,7 @@ class ShardPool:
         retry: restart backoff for dead shards; after its attempts are
             exhausted the batch runs in-process instead of failing.
         seed: seed for the (deterministic) backoff jitter.
-        cache: optional :class:`~repro.serve.resultcache.ResultCache`;
+        cache: optional :class:`~repro.engine.results.ResultCache`;
             when set, every batch consults it before the pipe round
             trip (cached jobs never reach a worker) and fresh results
             are written through.  Lookups and writes happen on the
@@ -316,7 +316,8 @@ class ShardPool:
                 results[index] = outcome
                 status, payload = outcome
                 if status == "ok":
-                    cache.put(jobs[index], payload)
+                    with contextlib.suppress(OSError):  # best-effort
+                        cache.put(jobs[index], payload)
         merged: list[ShardResult] = []
         for entry in results:
             assert entry is not None  # every index is cached or dispatched
@@ -334,7 +335,6 @@ class ShardPool:
         Runs on a ``shard-io`` executor thread; the per-shard lock keeps
         request/response pairs on the pipe strictly alternating.
         """
-        payloads = [asdict(job) for job in jobs]
         if traces is not None and not any(traces):
             traces = None  # untraced batch: keep the 3-element message
         self._inflight[shard_id] += 1
@@ -348,9 +348,9 @@ class ShardPool:
                     delta = self._manifest_delta(shard_id, jobs)
                     try:
                         if traces is not None:
-                            shard.conn.send(("batch", payloads, delta, traces))
+                            shard.conn.send(("batch", jobs, delta, traces))
                         else:
-                            shard.conn.send(("batch", payloads, delta))
+                            shard.conn.send(("batch", jobs, delta))
                         response = shard.conn.recv()
                     except (EOFError, OSError, BrokenPipeError):
                         self._restart(shard_id, attempt)

@@ -88,7 +88,7 @@ def _run_specs(
     sweep runner (each worker loads the same stored trace); trace-file
     and ``--sanitize`` runs stay serial.  ``--run-id``/``--inject-faults``
     route benchmark runs through the crash-safe resilient engine
-    (retries, timeouts, durable journal — see ``docs/engine.md``).
+    (retries, timeouts, durable run store — see ``docs/engine.md``).
     """
     results: dict[str, CacheStats] = {}
     errors: dict[str, str] = {}
@@ -242,7 +242,7 @@ def main(argv: list[str] | None = None) -> int:
 
     Ctrl-C is handled here once for every execution mode: the sweep
     runner terminates and reaps its worker pool (no orphan processes,
-    no half-written journal — records are atomic appends) before the
+    no half-written result — entries are renamed into place) before the
     interrupt reaches this handler, which reports and exits 130.
     """
     try:
@@ -250,7 +250,7 @@ def main(argv: list[str] | None = None) -> int:
     except KeyboardInterrupt:
         print(
             "\nbcache-sim: interrupted — workers terminated and reaped; "
-            "with --run-id, completed jobs stay journaled and the run "
+            "with --run-id, completed jobs stay stored and the run "
             "resumes with the same id",
             file=sys.stderr,
         )
@@ -304,7 +304,7 @@ def _main(argv: list[str] | None = None) -> int:
                         "docs/serve.md and docs/cluster.md); statistics "
                         "are bit-identical either way")
     parser.add_argument("--run-id", default=None, metavar="ID",
-                        help="journal benchmark results durably under this "
+                        help="store benchmark results durably under this "
                         "id and resume a killed run bit-identically "
                         "($REPRO_RUN_ROOT or ~/.cache/bcache-repro/runs)")
     parser.add_argument("--inject-faults", default=None, metavar="PLAN",

@@ -99,7 +99,7 @@ class CacheStats:
 
         Unlike :meth:`as_dict` (an aggregate summary), a snapshot round
         trips through :meth:`from_snapshot` bit-identically — this is
-        the wire/journal format of the resilience layer.
+        the wire and run-store format of the engine.
         """
         return {
             "num_sets": self.num_sets,
@@ -122,7 +122,7 @@ class CacheStats:
         """Rebuild a stats object from :meth:`snapshot` output.
 
         Raises ``ValueError`` on malformed state (wrong per-set lengths
-        or non-integral counters) so journal readers can treat a bad
+        or non-integral counters) so run-store readers can treat a bad
         record as corrupt instead of resurrecting garbage.
         """
         try:

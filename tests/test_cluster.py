@@ -5,7 +5,7 @@ the e2e classes drive real ``bcache-serve`` subprocesses over Unix
 sockets and assert the tentpole guarantee — merged fleet results are
 bit-identical to a serial local run through node faults, a SIGKILLed
 node, an entirely-dead fleet (local fallback), and a SIGKILLed
-coordinator resumed from its journal.
+coordinator resumed from its run store.
 """
 
 from __future__ import annotations
@@ -32,9 +32,11 @@ from repro.engine.cluster import (
     run_cluster_sweep,
 )
 from repro.engine.faultinject import FaultPlan
-from repro.engine.resilience import ResultJournal, RetryPolicy
-from repro.engine.runner import SweepJob, run_sweep
+from repro.engine.resilience import RetryPolicy
+from repro.engine.results import unframe
+from repro.engine.runner import SweepJob, job_label, run_sweep
 from repro.engine.trace_store import TraceStore
+from repro.obs.events import read_events
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -99,6 +101,17 @@ def _stop(proc: subprocess.Popen) -> None:
         proc.wait(timeout=20)
     with contextlib.suppress(ProcessLookupError):
         proc.kill()
+    if proc.stdout is not None:
+        proc.stdout.close()
+
+
+def _intact_entries(run_dir: Path) -> int:
+    """Run-store entries that were renamed into place and pass their CRC."""
+    return sum(
+        1
+        for path in run_dir.glob("fp-*/*.json")
+        if unframe(path.read_text("utf-8")) is not None
+    )
 
 
 @pytest.fixture
@@ -231,20 +244,27 @@ class TestLocalFallback:
 
 
 class TestJournal:
-    def test_journal_records_node_attribution(self, tmp_path, store):
+    def test_journal_records_node_attribution(self, tmp_path, store, monkeypatch):
+        monkeypatch.setenv("REPRO_OBS", "events")
+        monkeypatch.setenv("REPRO_OBS_LOG", str(tmp_path / "outside.jsonl"))
         addresses = [f"unix:{tmp_path}/ghost.sock"]
         jobs = small_sweep()[:2]
         run_cluster_sweep(
             jobs, addresses, config=FAST, store=store,
             run_id="attributed", run_root=tmp_path / "runs",
         )
-        journal = ResultJournal(tmp_path / "runs" / "attributed")
-        assert len(journal.completed) == len(jobs)
-        text = (tmp_path / "runs" / "attributed" / "journal.jsonl").read_text()
-        assert '"node":"local"' in text
+        run_dir = tmp_path / "runs" / "attributed"
+        assert _intact_entries(run_dir) == len(jobs)
+        served = [
+            event for event in read_events(run_dir / "events.jsonl")
+            if event["name"] == "cluster.job_served"
+        ]
+        assert sorted((e["job"], e["node"]) for e in served) == sorted(
+            (job_label(job), "local") for job in jobs
+        )
 
     def test_resume_replays_from_journal_without_nodes(self, tmp_path, store):
-        """A fully-journaled run resumes instantly even with no fleet."""
+        """A fully-stored run resumes instantly even with no fleet."""
         jobs = small_sweep()[:3]
         run_root = tmp_path / "runs"
         first = run_cluster_sweep(
@@ -259,7 +279,7 @@ class TestJournal:
         assert coordinator.summary()["fallback_jobs"] == 0
 
     def test_sigkill_coordinator_resumes_bit_identically(self, tmp_path, store):
-        """SIGKILL the coordinator mid-journal; resume completes the run."""
+        """SIGKILL the coordinator mid-run; resume completes the run."""
         jobs = [
             SweepJob(spec=spec, benchmark=benchmark, n=200_000)
             for spec in ("dm", "2way")
@@ -301,35 +321,32 @@ run_cluster_sweep(
             stderr=subprocess.DEVNULL,
             start_new_session=True,
         )
-        journal_path = run_root / "killed" / "journal.jsonl"
+        run_dir = run_root / "killed"
         try:
             deadline = time.monotonic() + 120.0
-            # Wait for the header plus at least one fallback-journaled
-            # job, then SIGKILL while later jobs are still running.
+            # Wait for at least one fallback-stored job, then SIGKILL
+            # while later jobs are still running.
             while time.monotonic() < deadline:
-                if (
-                    journal_path.is_file()
-                    and journal_path.read_text().count("\n") >= 2
-                ):
+                if list(run_dir.glob("fp-*/*.json")):
                     break
                 assert proc.poll() is None, "coordinator exited pre-kill"
                 time.sleep(0.01)
             else:
-                pytest.fail("journal never reached the pre-kill state")
+                pytest.fail("run store never reached the pre-kill state")
         finally:
             with contextlib.suppress(ProcessLookupError):
                 os.killpg(proc.pid, signal.SIGKILL)
             proc.wait(timeout=30)
 
-        journaled = len(ResultJournal(run_root / "killed").completed)
-        assert 1 <= journaled < len(jobs)  # genuinely killed mid-run
+        stored = _intact_entries(run_dir)
+        assert 1 <= stored < len(jobs)  # genuinely killed mid-run
 
         resumed = run_cluster_sweep(
             jobs, [f"unix:{tmp_path}/ghost.sock"], config=FAST, store=store,
             resume="killed", run_root=run_root,
         )
         assert resumed == run_sweep(jobs, workers=1, store=store)
-        assert len(ResultJournal(run_root / "killed").completed) == len(jobs)
+        assert _intact_entries(run_dir) == len(jobs)
 
 
 class TestCli:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.engine.results import ResultCache
 from repro.engine.runner import (
     SweepJob,
     available_cpus,
@@ -105,12 +106,13 @@ class TestResilientRouting:
         assert resilient == plain
 
     def test_run_id_creates_journal(self, store, tmp_path):
-        run_sweep(
-            small_sweep()[:2], workers=1, store=store,
-            run_id="routed", run_root=tmp_path,
-        )
-        assert (tmp_path / "routed" / "journal.jsonl").is_file()
-        assert (tmp_path / "routed" / "index.json").is_file()
+        # A run id routes through the resilient engine, which stores one
+        # result entry per job in the run directory.
+        jobs = small_sweep()[:2]
+        run_sweep(jobs, workers=1, store=store, run_id="routed", run_root=tmp_path)
+        run_store = ResultCache(tmp_path / "routed")
+        for job in jobs:
+            assert run_store.entry_path(run_store.key(job)).is_file()
 
     def test_run_id_resume_alias_conflict(self, store):
         with pytest.raises(ValueError, match="disagree"):

@@ -1,9 +1,8 @@
-"""Tests for the crash-safe sweep engine (retries, journal, resume)."""
+"""Tests for the crash-safe sweep engine (retries, run store, resume)."""
 
 from __future__ import annotations
 
 import contextlib
-import json
 import os
 import signal
 import subprocess
@@ -14,15 +13,15 @@ from random import Random
 
 import pytest
 
+from repro.engine import resilience
 from repro.engine.faultinject import FaultPlan
 from repro.engine.resilience import (
     ResilienceConfig,
-    ResultJournal,
     RetryPolicy,
     SweepFailure,
     default_run_root,
-    job_key,
 )
+from repro.engine.results import ResultCache, unframe
 from repro.engine.runner import SweepJob, execute_job, run_sweep
 from repro.engine.trace_store import TraceStore
 
@@ -47,6 +46,27 @@ FAST = ResilienceConfig(
 )
 
 
+def intact_entries(run_dir: Path) -> int:
+    """Run-store entries that were renamed into place and pass their CRC."""
+    return sum(
+        1
+        for path in run_dir.glob("fp-*/*.json")
+        if unframe(path.read_text("utf-8")) is not None
+    )
+
+
+def count_executions(monkeypatch) -> list[SweepJob]:
+    """Record every job the resilient engine actually executes."""
+    executed: list[SweepJob] = []
+
+    def counting(job, *args, **kwargs):
+        executed.append(job)
+        return execute_job(job, *args, **kwargs)
+
+    monkeypatch.setattr(resilience, "execute_job", counting)
+    return executed
+
+
 class TestRetryPolicy:
     def test_deterministic(self):
         policy = RetryPolicy()
@@ -66,65 +86,68 @@ class TestRetryPolicy:
 
 
 class TestResultJournal:
-    def test_round_trip_bit_identical(self, tmp_path, store):
-        job = SweepJob(spec="dm", benchmark="gzip", n=1200)
-        stats = execute_job(job, store=store)
-        journal = ResultJournal(tmp_path / "run", fsync=False)
-        journal.open_run("r1", [job])
-        journal.record(job, stats)
-        journal.close()
+    """The run store: a ``ResultCache`` in the run directory."""
 
-        reloaded = ResultJournal(tmp_path / "run")
-        assert reloaded.completed[job_key(job)] == stats
-        assert reloaded.corrupt_lines == 0
-        assert reloaded.header is not None
-        assert reloaded.header["run_id"] == "r1"
+    def test_round_trip_bit_identical(self, tmp_path, store, monkeypatch):
+        jobs = small_sweep(1200)
+        first = run_sweep(
+            jobs, workers=1, store=store, run_id="r1", run_root=tmp_path,
+            resilience=FAST,
+        )
+        assert intact_entries(tmp_path / "r1") == len(jobs)
+        reopened = ResultCache(tmp_path / "r1")
+        for job, stats in zip(jobs, first):
+            assert reopened.get(job) == stats.snapshot()
+        executed = count_executions(monkeypatch)
+        resumed = run_sweep(
+            jobs, workers=1, store=store, resume="r1", run_root=tmp_path,
+            resilience=FAST,
+        )
+        assert resumed == first
+        assert executed == []
 
-    def test_torn_tail_skipped_and_healed(self, tmp_path, store):
+    def test_torn_tail_skipped_and_healed(self, tmp_path, store, monkeypatch):
         jobs = small_sweep(1000)[:2]
-        stats = [execute_job(job, store=store) for job in jobs]
-        journal = ResultJournal(tmp_path / "run", fsync=False)
-        journal.open_run("r1", jobs)
-        journal.record(jobs[0], stats[0])
-        journal.record(jobs[1], stats[1], torn=True)  # simulated crash
-        journal.close()
+        clean = run_sweep(jobs, workers=1, store=store)
+        run_sweep(
+            jobs, workers=1, store=store, run_id="r1", run_root=tmp_path,
+            resilience=FAST, fault_plan=FaultPlan.parse("torn_journal@1"),
+        )
+        # The torn entry is a half-written temp file that was never
+        # renamed: the store does not see it.
+        assert intact_entries(tmp_path / "r1") == 1
+        assert len(list((tmp_path / "r1").glob("fp-*/*.json.tmp.*"))) == 1
+        executed = count_executions(monkeypatch)
+        resumed = run_sweep(
+            jobs, workers=1, store=store, resume="r1", run_root=tmp_path,
+            resilience=FAST,
+        )
+        assert resumed == clean
+        assert executed == [jobs[1]]
+        assert intact_entries(tmp_path / "r1") == len(jobs)
 
-        reloaded = ResultJournal(tmp_path / "run", fsync=False)
-        assert job_key(jobs[0]) in reloaded.completed
-        assert job_key(jobs[1]) not in reloaded.completed
-        assert reloaded.corrupt_lines == 1
-        # Appending after the torn tail heals it: the new record parses.
-        reloaded.open_run("r1", jobs)
-        reloaded.record(jobs[1], stats[1])
-        reloaded.close()
-        final = ResultJournal(tmp_path / "run")
-        assert final.completed[job_key(jobs[1])] == stats[1]
-
-    def test_corrupt_line_skipped(self, tmp_path, store):
-        job = SweepJob(spec="dm", benchmark="gzip", n=1000)
-        stats = execute_job(job, store=store)
-        journal = ResultJournal(tmp_path / "run", fsync=False)
-        journal.open_run("r1", [job])
-        journal.record(job, stats)
-        journal.close()
-        path = tmp_path / "run" / "journal.jsonl"
-        lines = path.read_text().splitlines()
-        flipped = lines[-1][:9] + ("X" if lines[-1][9] != "X" else "Y") + lines[-1][10:]
-        path.write_text("\n".join(lines[:-1] + [flipped]) + "\n")
-
-        reloaded = ResultJournal(tmp_path / "run")
-        assert job_key(job) not in reloaded.completed
-        assert reloaded.corrupt_lines == 1
-
-    def test_index_written_atomically(self, tmp_path, store):
-        job = SweepJob(spec="dm", benchmark="gzip", n=1000)
-        journal = ResultJournal(tmp_path / "run", fsync=False)
-        journal.open_run("r1", [job])
-        journal.record(job, execute_job(job, store=store))
-        index = json.loads((tmp_path / "run" / "index.json").read_text())
-        assert index["completed"] == 1
-        assert index["total_jobs"] == 1
-        assert index["run_id"] == "r1"
+    def test_corrupt_line_skipped(self, tmp_path, store, monkeypatch, caplog):
+        jobs = small_sweep(1000)[:2]
+        clean = run_sweep(
+            jobs, workers=1, store=store, run_id="r1", run_root=tmp_path,
+            resilience=FAST,
+        )
+        path = ResultCache(tmp_path / "r1").entry_path(
+            ResultCache(tmp_path / "r1").key(jobs[0])
+        )
+        text = path.read_text("utf-8")
+        path.write_text(text[:9] + ("X" if text[9] != "X" else "Y") + text[10:])
+        executed = count_executions(monkeypatch)
+        with caplog.at_level("WARNING", logger="repro.engine.resilience"):
+            resumed = run_sweep(
+                jobs, workers=1, store=store, resume="r1", run_root=tmp_path,
+                resilience=FAST,
+            )
+        assert resumed == clean
+        assert executed == [jobs[0]]
+        assert any("quarantined 1" in r.message for r in caplog.records)
+        assert (tmp_path / "r1" / "quarantine" / path.name).is_file()
+        assert intact_entries(tmp_path / "r1") == len(jobs)
 
     def test_default_run_root_env(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_RUN_ROOT", str(tmp_path / "runs"))
@@ -221,7 +244,7 @@ class TestFaultRecovery:
         assert got == clean
         assert (store.quarantine_root).is_dir()
 
-    def test_torn_journal_rerun_on_resume(self, tmp_path, store):
+    def test_torn_journal_rerun_on_resume(self, tmp_path, store, monkeypatch):
         jobs = small_sweep()
         clean = run_sweep(jobs, workers=1, store=store)
         plan = FaultPlan.parse("torn_journal@2")
@@ -230,15 +253,15 @@ class TestFaultRecovery:
             resilience=FAST, fault_plan=plan,
         )
         assert got == clean
-        journal = ResultJournal(tmp_path / "torn")
-        assert len(journal.completed) == len(jobs) - 1
-        assert journal.corrupt_lines == 1
+        assert intact_entries(tmp_path / "torn") == len(jobs) - 1
+        executed = count_executions(monkeypatch)
         resumed = run_sweep(
             jobs, workers=1, store=store, resume="torn", run_root=tmp_path,
             resilience=FAST,
         )
         assert resumed == clean
-        assert len(ResultJournal(tmp_path / "torn").completed) == len(jobs)
+        assert executed == [jobs[2]]  # exactly one job re-ran
+        assert intact_entries(tmp_path / "torn") == len(jobs)
 
     def test_retry_budget_exhaustion_raises(self, store):
         jobs = small_sweep()[:1]
@@ -272,13 +295,13 @@ class TestFaultRecovery:
 
 
 class TestKillResume:
-    """SIGKILL a journaled sweep mid-run; resume must be bit-identical."""
+    """SIGKILL a ``run_id`` sweep mid-run; resume must be bit-identical."""
 
     def test_sigkill_mid_run_resumes_bit_identically(self, tmp_path, store):
         jobs = small_sweep(3000)
         run_root = tmp_path / "runs"
         # The child hangs forever on job 0 (huge timeout, no retry help),
-        # so it deterministically finishes every other job, journals
+        # so it deterministically finishes every other job, stores
         # them, and then blocks — a guaranteed mid-run SIGKILL window.
         child_code = """
 import sys
@@ -312,27 +335,23 @@ run_sweep(
             stderr=subprocess.DEVNULL,
             start_new_session=True,  # killpg must reach the hung worker too
         )
-        journal_path = run_root / "killed" / "journal.jsonl"
+        run_dir = run_root / "killed"
         try:
             deadline = time.monotonic() + 60.0
-            # Wait for header + every job except the hung one, then kill.
+            # Wait for every job except the hung one, then kill.
             while time.monotonic() < deadline:
-                if (
-                    journal_path.is_file()
-                    and journal_path.read_text().count("\n") >= len(jobs)
-                ):
+                if len(list(run_dir.glob("fp-*/*.json"))) >= len(jobs) - 1:
                     break
                 assert proc.poll() is None, "sweep exited before the kill"
                 time.sleep(0.02)
             else:
-                pytest.fail("journal never reached the pre-kill state")
+                pytest.fail("run store never reached the pre-kill state")
         finally:
             with contextlib.suppress(ProcessLookupError):
                 os.killpg(proc.pid, signal.SIGKILL)
             proc.wait(timeout=30)
 
-        journal = ResultJournal(run_root / "killed")
-        assert len(journal.completed) == len(jobs) - 1  # killed mid-run
+        assert intact_entries(run_dir) == len(jobs) - 1  # killed mid-run
 
         clean = run_sweep(jobs, workers=1, store=store)
         resumed = run_sweep(
@@ -340,21 +359,22 @@ run_sweep(
             resilience=FAST,
         )
         assert resumed == clean
-        assert len(ResultJournal(run_root / "killed").completed) == len(jobs)
+        assert intact_entries(run_dir) == len(jobs)
 
 
 class TestFingerprintWarning:
-    def test_resuming_different_sweep_warns(self, tmp_path, store, caplog):
+    def test_resuming_different_sweep_warns(self, tmp_path, store):
+        # Resuming with a different job list reuses the entries of the
+        # jobs the two lists share and runs the rest: the store is
+        # keyed per job, so a changed list needs no warning.
         jobs = small_sweep()[:2]
         run_sweep(
             jobs, workers=1, store=store, run_id="fp", run_root=tmp_path,
             resilience=FAST,
         )
         other = small_sweep()[1:3]
-        with caplog.at_level("WARNING", logger="repro.engine.resilience"):
-            got = run_sweep(
-                other, workers=1, store=store, resume="fp", run_root=tmp_path,
-                resilience=FAST,
-            )
-        assert any("fingerprint" in r.message for r in caplog.records)
+        got = run_sweep(
+            other, workers=1, store=store, resume="fp", run_root=tmp_path,
+            resilience=FAST,
+        )
         assert got == run_sweep(other, workers=1, store=store)

@@ -1,13 +1,16 @@
-"""The content-addressed result cache and its admission front door.
+"""The job codec, the content-addressed result store, and admission.
 
 Three contracts under test:
 
-* **Canonical keys** — ``canonical_job_key`` matches the resilience
-  journal's ``job_key`` byte for byte for a :class:`SweepJob`, and the
-  three copies of the key-field set (resultcache, ``SweepJob`` itself,
-  the BCL018 linter) can never drift apart silently.
+* **Codec and keys** — ``job_to_wire``/``job_from_wire`` round-trip
+  every job and reject what the key cannot hold exactly; ``job_key``
+  and ``job_hash`` keep their on-disk bytes (golden literals), and the
+  two copies of the key-field set (the codec's, derived from
+  ``SweepJob``, and the BCL018 linter's) can never drift apart
+  silently.
 * **Two-tier store** — memory LRU in front of a CRC-framed disk tier:
-  promotion, eviction, corruption quarantine, fingerprint invalidation.
+  promotion, eviction, corruption quarantine, fingerprint invalidation,
+  temp-file hygiene when a write fails.
 * **Admission** — deterministic token buckets under an injected clock,
   and fair queueing that makes a flooding client pay for its own flood.
 """
@@ -16,72 +19,102 @@ from __future__ import annotations
 
 import asyncio
 import dataclasses
+import json
+import os
+import zlib
 
 import pytest
 
 from repro.analysis.lint import RESULT_CACHE_KEY_FIELDS
-from repro.engine.resilience import job_key
-from repro.engine.runner import SweepJob
+from repro.engine import results
+from repro.engine.results import (
+    KEY_FIELDS,
+    BadJob,
+    ResultCache,
+    job_from_wire,
+    job_hash,
+    job_key,
+    job_to_wire,
+)
+from repro.engine.runner import SweepJob, execute_job, run_sweep
 from repro.serve.admission import (
     AdmissionController,
     AdmissionOverload,
     RateLimited,
     TokenBucket,
 )
-from repro.serve.resultcache import (
-    HASHED_JOB_FIELDS,
-    CacheKeyError,
-    ResultCache,
-    Singleflight,
-    canonical_job_key,
-    job_hash,
-)
+from repro.serve.batcher import Singleflight
+from repro.serve.workers import ShardPool
 
 JOB = SweepJob(spec="mf8_bas8", benchmark="gcc", n=3000, with_kinds=True)
 SNAP = {"accesses": 3000, "misses": 412, "hits": 2588}
 
+#: ``job_key(JOB)`` as every existing result-cache directory stores it.
+GOLDEN_KEY = (
+    '{"benchmark":"gcc","line_size":32,"n":3000,"policy":"lru",'
+    '"seed":2006,"side":"data","size":16384,"spec":"mf8_bas8",'
+    '"with_kinds":true}'
+)
+
 
 # ----------------------------------------------------------------------
-# Canonical keys
+# Codec and keys
 # ----------------------------------------------------------------------
 class TestCanonicalKey:
-    def test_matches_resilience_job_key_for_sweepjob(self):
-        # Journal keys and cache keys must agree byte for byte, or a
-        # journal replay and a cache probe could disagree about whether
-        # two jobs are "the same job".
-        assert canonical_job_key(JOB) == job_key(JOB)
+    def test_golden_key_and_hash(self):
+        # Entries on disk are filed under these bytes; changing them
+        # orphans every existing result-cache and run directory.
+        assert job_key(JOB) == GOLDEN_KEY
+        assert job_hash(JOB, "") == "cc10c0f73ecd4d6d4f1c2c4649e3d30e"
+        assert job_hash(JOB, "0123456789abcdef") == (
+            "91452fb9ecad4d64ebeb0f2e798f3f41"
+        )
 
     def test_mapping_field_order_is_irrelevant(self):
         a = {"spec": "dm", "benchmark": "gcc", "n": 1000}
         b = {"n": 1000, "spec": "dm", "benchmark": "gcc"}
-        assert canonical_job_key(a) == canonical_job_key(b)
-
-    def test_integral_float_normalises_to_int(self):
-        # JSON payloads routinely arrive with n=20000.0; that is the
-        # same job as n=20000 and must hash identically.
-        exact = {"spec": "dm", "benchmark": "gcc", "n": 20000}
-        floaty = {"spec": "dm", "benchmark": "gcc", "n": 20000.0}
-        assert canonical_job_key(exact) == canonical_job_key(floaty)
+        assert job_key(job_from_wire(a)) == job_key(job_from_wire(b))
 
     def test_fractional_float_is_rejected(self):
-        with pytest.raises(CacheKeyError, match="non-integral float"):
-            canonical_job_key({"spec": "dm", "benchmark": "gcc", "n": 0.5})
+        with pytest.raises(BadJob, match="'n' must be an int"):
+            job_from_wire({"spec": "dm", "benchmark": "gcc", "n": 0.5})
 
     def test_unknown_field_is_rejected(self):
-        with pytest.raises(CacheKeyError, match="debug_level"):
-            canonical_job_key({"spec": "dm", "debug_level": 3})
+        with pytest.raises(BadJob, match="debug_level"):
+            job_from_wire({"spec": "dm", "benchmark": "gcc", "debug_level": 3})
 
     def test_hash_depends_on_fingerprint(self):
         assert job_hash(JOB, "aaaa") != job_hash(JOB, "bbbb")
         assert len(job_hash(JOB)) == 32  # 128 bits of hex
 
     def test_key_field_sets_agree_everywhere(self):
-        # Three copies of the key discipline exist on purpose (the
-        # linter must stay importable without serve, the dataclass is
-        # the ground truth).  This test is the drift alarm.
+        # The linter keeps its own copy so it stays importable without
+        # the engine; this test is the drift alarm.
         sweep_fields = {f.name for f in dataclasses.fields(SweepJob)}
-        assert HASHED_JOB_FIELDS == sweep_fields
-        assert RESULT_CACHE_KEY_FIELDS == HASHED_JOB_FIELDS
+        assert KEY_FIELDS == sweep_fields
+        assert RESULT_CACHE_KEY_FIELDS == KEY_FIELDS
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"spec": "dm"},
+            {"benchmark": "mcf"},
+            {"side": "instr"},
+            {"side": "combined"},
+            {"n": 4321},
+            {"seed": 7},
+            {"size": 8192},
+            {"line_size": 64},
+            {"policy": "fifo"},
+            {"with_kinds": False},
+        ],
+        ids=lambda change: ",".join(change),
+    )
+    def test_wire_round_trip(self, change):
+        job = dataclasses.replace(JOB, **change)
+        wire = job_to_wire(job)
+        assert job_from_wire(json.loads(json.dumps(wire))) == job
+        assert job_key(job) != job_key(JOB)
 
 
 # ----------------------------------------------------------------------
@@ -111,6 +144,26 @@ class TestResultCache:
         # The disk hit was promoted: the next probe is a memory hit.
         assert fresh.lookup_memory(fresh.key(JOB)) == SNAP
 
+    def test_existing_directory_format_is_served_from_disk(self, tmp_path):
+        # An entry built by hand in the established on-disk format:
+        # fp-<fingerprint>/<job_hash>.json holding one
+        # "<crc32-hex> <json>" line of {"key", "stats"}.
+        fingerprint = "0123456789abcdef"
+        body = json.dumps(
+            {"key": GOLDEN_KEY, "stats": SNAP}, sort_keys=True,
+            separators=(",", ":"),
+        )
+        entry_dir = tmp_path / "rc" / f"fp-{fingerprint}"
+        entry_dir.mkdir(parents=True)
+        (entry_dir / "91452fb9ecad4d64ebeb0f2e798f3f41.json").write_text(
+            f"{zlib.crc32(body.encode()):08x} {body}\n", encoding="utf-8"
+        )
+        cache = self._cache(tmp_path, fingerprint=fingerprint)
+        assert cache.get(JOB) == SNAP
+        snap = cache.snapshot()
+        assert snap["hits_disk"] == 1
+        assert snap["quarantined"] == 0
+
     def test_lru_evicts_oldest_entry(self, tmp_path):
         cache = self._cache(tmp_path, capacity=2)
         jobs = [SweepJob(spec="dm", benchmark="gcc", n=1000 + i)
@@ -127,7 +180,7 @@ class TestResultCache:
     def test_corrupt_entry_is_quarantined_not_served(self, tmp_path):
         cache = self._cache(tmp_path)
         cache.put(JOB, SNAP)
-        path = cache._entry_path(cache.key(JOB))
+        path = cache.entry_path(cache.key(JOB))
         path.write_text(path.read_text("utf-8")[:-10] + "corrupted!\n")
         fresh = self._cache(tmp_path)
         assert fresh.get(JOB) is None  # recompute, never trust bit rot
@@ -148,6 +201,47 @@ class TestResultCache:
         a = self._cache(tmp_path, fingerprint="aaaa000000000000")
         b = self._cache(tmp_path, fingerprint="bbbb000000000000")
         assert a.key(JOB) != b.key(JOB)
+
+
+class TestFailedWrite:
+    """``os.replace`` fails: no temp file survives, and only the run
+    store (not the serve tier's write-through) lets the failure out."""
+
+    @pytest.fixture
+    def failing_rename(self, monkeypatch):
+        real_replace = os.replace
+
+        def replace(src, dst):
+            if ".json.tmp." in str(src):
+                raise OSError(28, "No space left on device")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(results.os, "replace", replace)
+
+    @staticmethod
+    def _leftovers(root):
+        return [path for path in root.rglob("*") if ".tmp." in path.name]
+
+    def test_put_removes_its_temp_file(self, tmp_path, failing_rename):
+        cache = ResultCache(tmp_path / "rc", fingerprint="testfp", fsync=False)
+        with pytest.raises(OSError):
+            cache.put(JOB, SNAP)
+        assert self._leftovers(tmp_path / "rc") == []
+        assert cache.snapshot()["stores"] == 0
+
+    def test_shard_pool_still_answers(self, tmp_path, failing_rename):
+        job = SweepJob(spec="dm", benchmark="gzip", n=1500)
+        cache = ResultCache(tmp_path / "rc", fingerprint="testfp", fsync=False)
+        with ShardPool(1, cache=cache) as pool:
+            (outcome,) = pool.run_batch_blocking(0, [job])
+        assert outcome == ("ok", execute_job(job).snapshot())
+        assert self._leftovers(tmp_path / "rc") == []
+
+    def test_run_id_sweep_fails(self, tmp_path, failing_rename):
+        jobs = [SweepJob(spec="dm", benchmark="gzip", n=1500)]
+        with pytest.raises(OSError, match="No space left"):
+            run_sweep(jobs, workers=1, run_id="full", run_root=tmp_path)
+        assert self._leftovers(tmp_path / "full") == []
 
 
 # ----------------------------------------------------------------------

@@ -11,7 +11,7 @@ import asyncio
 import pytest
 
 from repro.caches import make_cache
-from repro.engine.resilience import job_key
+from repro.engine.results import BadJob, job_from_wire, job_key
 from repro.engine.runner import SweepJob, execute_job
 from repro.engine.trace_store import default_store
 from repro.serve.batcher import MicroBatcher, SimulationError
@@ -22,7 +22,7 @@ from repro.serve.client import (
     parse_address,
 )
 from repro.serve.protocol import HEADER
-from repro.serve.server import ServeConfig, SimServer, _job_from_payload, BadRequest
+from repro.serve.server import ServeConfig, SimServer
 from repro.serve.workers import ShardPool, trace_shard_key
 
 JOB = SweepJob(spec="mf8_bas8", benchmark="gcc", n=3000, with_kinds=True)
@@ -438,42 +438,70 @@ class TestServeTelemetry:
         assert serve(quick_config(), scenario) is None
 
 
+#: Wire job fields the codec must refuse, each with the value to send.
+BAD_JOB_FIELDS = [
+    ("seed", 1.5),     # a lossy scalar cannot be keyed exactly
+    ("seed", "2006"),
+    ("size", None),
+    ("size", 0),
+    ("line_size", -32),
+    ("policy", 7),
+    ("with_kinds", "yes"),
+    ("n", True),       # bool is not an int for key purposes
+    ("n", 20000.0),    # an integral float is still not an int
+]
+
+
 class TestJobValidation:
     def test_unknown_field_rejected(self):
-        with pytest.raises(BadRequest, match="unknown job field"):
-            _job_from_payload({"spec": "dm", "benchmark": "gzip", "turbo": 1})
+        with pytest.raises(BadJob, match="unknown job field"):
+            job_from_wire({"spec": "dm", "benchmark": "gzip", "turbo": 1})
 
     def test_combined_side_needs_kinds(self):
-        with pytest.raises(BadRequest, match="with_kinds"):
-            _job_from_payload(
+        with pytest.raises(BadJob, match="with_kinds"):
+            job_from_wire(
                 {"spec": "dm", "benchmark": "gzip", "side": "combined"}
             )
 
     def test_valid_payload_builds_job(self):
-        job = _job_from_payload({"spec": "dm", "benchmark": "gzip", "n": 500})
+        job = job_from_wire({"spec": "dm", "benchmark": "gzip", "n": 500})
         assert job == SweepJob(spec="dm", benchmark="gzip", n=500)
 
-    @pytest.mark.parametrize(
-        "field, value",
-        [
-            ("seed", 1.5),     # would raise CacheKeyError in the batcher
-            ("seed", "2006"),
-            ("size", None),
-            ("size", 0),
-            ("line_size", -32),
-            ("policy", 7),
-            ("with_kinds", "yes"),
-            ("n", True),       # bool is not an int for key purposes
-        ],
-    )
+    @pytest.mark.parametrize("field, value", BAD_JOB_FIELDS)
     def test_bad_scalar_types_rejected_up_front(self, field, value):
         # Every job field feeds the canonical cache key, which only
-        # admits exact scalars; a lossy value must be a bad_request at
-        # the door, not a CacheKeyError mid-pipeline.
-        with pytest.raises(BadRequest):
-            _job_from_payload(
+        # admits exact scalars; a lossy value must be refused at the
+        # door, not surface mid-pipeline.
+        with pytest.raises(BadJob):
+            job_from_wire(
                 {"spec": "dm", "benchmark": "gzip", field: value}
             )
+
+    def test_bad_jobs_are_bad_requests_over_the_wire(self):
+        base = {"op": "simulate", "spec": "dm", "benchmark": "gzip"}
+        payloads = [{**base, field: value} for field, value in BAD_JOB_FIELDS]
+        payloads += [
+            {**base, "turbo": 1},
+            {**base, "side": "combined"},
+            {"op": "sweep", "jobs": [{"spec": "dm", "benchmark": "gzip",
+                                      "seed": 1.5}]},
+        ]
+
+        async def scenario(server, address):
+            client = await AsyncServeClient.connect(address)
+            try:
+                responses = [await client.request(p) for p in payloads]
+                # The connection survives every rejection.
+                stats = await client.simulate(JOB)
+            finally:
+                await client.close()
+            return responses, stats
+
+        responses, stats = serve(quick_config(), scenario)
+        assert [r.get("error") for r in responses] == (
+            ["bad_request"] * len(payloads)
+        )
+        assert stats == execute_job(JOB)
 
 
 class TestParseAddress:
