@@ -456,9 +456,7 @@ _MUTATOR_METHODS = frozenset(
 )
 
 #: Known process-boundary entry point names (see engine/serve layers).
-_ENTRY_POINT_NAMES = frozenset(
-    ("execute_job", "_shard_entry", "_worker_entry", "_init_worker")
-)
+_ENTRY_POINT_NAMES = frozenset(("execute_job", "_worker_entry"))
 
 
 class _FlowLintHooks:

@@ -5,16 +5,19 @@ Six pieces (see ``docs/engine.md``):
 * :mod:`repro.engine.trace_store` — on-disk ``array('Q')`` blobs (CRC32
   framed, corrupt files quarantined + regenerated) so every synthetic
   trace is generated exactly once per machine;
-* :mod:`repro.engine.runner` — deterministic process-pool fan-out of
-  (spec, benchmark, side, scale) jobs with bit-identical statistics;
+* :mod:`repro.engine.runner` — :class:`SweepJob`, the one execution
+  path (``execute_job``) and ``run_sweep``, bit-identical statistics
+  at any worker count;
 * :mod:`repro.engine.results` — the one job codec (``job_to_wire`` /
   ``job_from_wire``, ``job_key``, ``job_hash``) and the one
   content-addressed result store (:class:`ResultCache`), shared by
   ``run_id`` sweeps, the cluster and the serve tier;
-* :mod:`repro.engine.resilience` — crash-safe execution: per-job
-  retries with backoff, hung-worker timeouts, the run store behind
-  ``run_sweep(..., resume=run_id)``, and serial fallback after
-  repeated pool failures;
+* :mod:`repro.engine.resilience` — the sweep supervisor behind
+  ``run_sweep`` and the one worker loop it shares with the serve
+  tier: persistent supervised workers, per-job retries with backoff,
+  hung-worker timeouts, the run store behind
+  ``run_sweep(..., run_id=...)``, and serial fallback after repeated
+  worker failures;
 * :mod:`repro.engine.faultinject` — deterministic fault injection
   (:class:`FaultPlan`) proving every recovery path, plus the CI chaos
   harness (``python -m repro.engine.faultinject``);
@@ -36,7 +39,7 @@ from repro.engine.trace_store import TraceStore, default_store, set_default_stor
 
 #: Symbols resolved lazily (PEP 562) so ``python -m
 #: repro.engine.faultinject`` does not double-import its own module and
-#: plain sweeps never pay the resilience or results import.
+#: importing the engine never pays for the supervisor or results.
 _LAZY = {
     "FAULT_KINDS": "faultinject",
     "FaultPlan": "faultinject",

@@ -64,7 +64,7 @@ from random import Random
 from typing import Any, Iterable, Sequence
 
 from repro.engine.faultinject import FaultPlan, FaultPlanError
-from repro.engine.resilience import RetryPolicy, default_run_root, load_completed
+from repro.engine.resilience import RetryPolicy, load_completed, open_run
 from repro.engine.results import ResultCache, job_key
 from repro.engine.runner import SweepJob, execute_job, job_label
 from repro.engine.trace_store import TraceStore, default_store
@@ -363,34 +363,19 @@ class ClusterCoordinator:
         jobs: Iterable[SweepJob],
         *,
         run_id: str | None = None,
-        resume: str | None = None,
         run_root: str | Path | None = None,
         fault_plan: FaultPlan | None = None,
     ) -> list[CacheStats]:
         """Run every job on the fleet; mirrors ``run_sweep`` semantics.
 
-        ``run_id``/``resume`` are create-or-resume aliases exactly as in
+        ``run_id`` is create-or-resume exactly as in
         :func:`repro.engine.runner.run_sweep`: completed jobs replay
         from the run store, the rest are dispatched, and a coordinator
         killed mid-sweep resumes bit-identically.
         """
         job_list = list(jobs)
-        if run_id and resume and run_id != resume:
-            raise ValueError(
-                f"run_id={run_id!r} and resume={resume!r} disagree; "
-                "pass one (they are aliases)"
-            )
-        rid = run_id or resume
-        self._run_store = None
-        completed: list[CacheStats | None] = [None] * len(job_list)
-        route_log: contextlib.AbstractContextManager[None] = (
-            contextlib.nullcontext()
-        )
-        if rid:
-            run_dir = Path(run_root or default_run_root()) / rid
-            self._run_store = ResultCache(run_dir, fsync=self.config.fsync)
-            completed = load_completed(self._run_store, job_list)
-            route_log = obs_events.log_to(run_dir / "events.jsonl")
+        self._run_store, route_log = open_run(run_id, run_root, self.config.fsync)
+        completed = load_completed(self._run_store, job_list)
         with route_log:
             return asyncio.run(self._run_async(job_list, completed, fault_plan))
 
@@ -731,7 +716,6 @@ def run_cluster_sweep(
     *,
     config: ClusterConfig | None = None,
     run_id: str | None = None,
-    resume: str | None = None,
     run_root: str | Path | None = None,
     fault_plan: FaultPlan | None = None,
     store: TraceStore | None = None,
@@ -744,7 +728,6 @@ def run_cluster_sweep(
     return coordinator.run(
         jobs,
         run_id=run_id,
-        resume=resume,
         run_root=run_root,
         fault_plan=fault_plan,
     )

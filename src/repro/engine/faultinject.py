@@ -1,10 +1,10 @@
-"""Deterministic fault injection for the resilient sweep engine.
+"""Deterministic fault injection for the sweep supervisor.
 
 Chaos testing only earns its keep when failures are *reproducible*: a
 flake that appears once a week proves nothing, a fault injected at
 job 3, attempt 0, by seed 2006 proves the recovery path every single
 run.  A :class:`FaultPlan` is a set of ``(kind, job_index, attempt)``
-triples; the resilient executor consults it at well-defined points and
+triples; the sweep supervisor consults it at well-defined points and
 triggers each fault exactly when its coordinates match.
 
 Fault classes (``FAULT_KINDS``):
@@ -442,7 +442,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         resumed = run_sweep(
             jobs,
             workers=1,
-            resume="chaos",
+            run_id="chaos",
             run_root=run_root,
             resilience=config,
         )

@@ -1,37 +1,39 @@
-"""Crash-safe sweep execution: retries, timeouts, run store, fallback.
+"""The sweep supervisor and the engine's one worker loop.
 
-The plain pool runner (``repro.engine.runner``) assumes a well-behaved
-world: no worker hangs, nothing is OOM-killed, nobody presses Ctrl-C
-at hour two of a 26-benchmark panel.  This layer drops that assumption
-while preserving the engine's core guarantee — **bit-identical
-statistics** — because recovery never changes *what* is simulated,
-only *when and where* a job runs:
+Every :func:`~repro.engine.runner.run_sweep` call ends up here.  The
+supervisor never changes *what* is simulated, only *when and where* a
+job runs, so its results are **bit-identical** to a serial replay
+however the sweep fails along the way:
 
+* **One worker loop** — :func:`_worker_entry` is the only worker-process
+  entry point in the package.  The supervisor keeps ``workers`` of them
+  alive for the whole sweep and sends each one job at a time; the
+  serve tier's :class:`~repro.serve.workers.ShardPool` runs the same
+  loop with whole batches.
 * **Retry with exponential backoff + deterministic jitter** — every
   :class:`~repro.engine.runner.SweepJob` is retried up to
   ``RetryPolicy.max_attempts`` times; jitter comes from a seeded
   ``random.Random`` so two runs of the same failing sweep behave the
-  same.
-* **Per-job wall-clock timeouts** — each job runs in its own
-  supervised worker process; a worker that exceeds
-  ``ResilienceConfig.job_timeout`` is killed and the job is
-  rescheduled on a fresh worker.
+  same.  A job that keeps failing raises :class:`SweepFailure`.
+* **Per-job wall-clock timeouts** — a worker that spends more than
+  ``ResilienceConfig.job_timeout`` on one job, or dies, is killed and
+  replaced, and the job is rescheduled.
 * **Crash-consistent run store** — a ``run_id`` sweep files every
   completed job in a :class:`~repro.engine.results.ResultCache` rooted
   at its run directory (one CRC32-framed entry per job, written to a
-  temp file, fsync'd and renamed into place).
-  ``run_sweep(..., resume=run_id)`` looks every job up and skips the
-  ones already stored, returning their stats bit-identically; a sweep
-  killed with SIGKILL resumes from its last renamed entry, and a torn
-  temp file is simply never read.
+  temp file, fsync'd and renamed into place).  A rerun with the same
+  ``run_id`` looks every job up and skips the ones already stored,
+  returning their stats bit-identically; a sweep killed with SIGKILL
+  resumes from its last renamed entry, and a torn temp file is simply
+  never read.
 * **Graceful degradation** — after ``max_pool_failures`` consecutive
   worker-process failures (crashes or timeouts, not in-job Python
-  errors) the supervisor stops forking and finishes the remaining jobs
-  serially in-process with a warning instead of aborting the sweep.
+  errors) the supervisor stops using workers and finishes the remaining
+  jobs serially in-process with a warning instead of aborting the sweep.
 
 Serial (in-process) execution keeps the retry/backoff behaviour but
 cannot enforce ``job_timeout`` — a process cannot kill itself out of a
-hang; timeouts need the supervised worker path (``workers > 1``).
+hang; timeouts need supervised workers (``workers > 1``).
 
 Every recovery path is exercised deterministically by the fault
 injector in :mod:`repro.engine.faultinject` (see ``docs/engine.md``).
@@ -44,9 +46,10 @@ import logging
 import multiprocessing
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from multiprocessing.connection import Connection
 from multiprocessing.connection import wait as _conn_wait
+from multiprocessing.process import BaseProcess
 from pathlib import Path
 from random import Random
 from typing import Any, Iterable, Sequence
@@ -59,16 +62,21 @@ from repro.engine.faultinject import (
     tear_entry,
 )
 from repro.engine.results import ResultCache
-from repro.engine.runner import SweepJob, _prewarm, execute_job, job_label
+from repro.engine.runner import SweepJob, execute_job, job_label
 from repro.engine.shm import Manifest, SharedTraceRegistry
 from repro.engine.trace_store import TraceStore, set_default_store
 from repro.obs import events as obs_events
 from repro.obs import instrument as _obs
+from repro.obs.metrics import default_registry
+from repro.obs.tracectx import TraceContext
 from repro.stats.counters import CacheStats
 
 log = logging.getLogger("repro.engine.resilience")
 
 ENV_RUN_ROOT = "REPRO_RUN_ROOT"
+
+#: One job outcome from a worker: ``("ok", snapshot)`` or ``("error", message)``.
+JobResult = tuple[str, Any]
 
 
 def default_run_root() -> Path:
@@ -110,7 +118,7 @@ class RetryPolicy:
 
 @dataclass(frozen=True, slots=True)
 class ResilienceConfig:
-    """Tuning for the resilient sweep executor.
+    """Tuning for the sweep supervisor.
 
     Attributes:
         retry: per-job retry/backoff policy.
@@ -133,40 +141,117 @@ class ResilienceConfig:
 
 
 # ----------------------------------------------------------------------
-# Supervised workers
+# The worker loop
 # ----------------------------------------------------------------------
-def _safe_send(conn: Connection, message: object) -> None:
-    with contextlib.suppress(OSError, ValueError, BrokenPipeError):
-        conn.send(message)
-
-
 def _worker_entry(
     conn: Connection,
-    job: SweepJob,
+    parent_end: Connection,
     store_root: str,
-    sanitize: bool,
-    fault_kinds: tuple[str, ...],
-    obs_mode: str = "off",
-    obs_log: str = "",
-    manifest: Manifest | None = None,
+    obs_mode: str,
+    obs_log: str,
 ) -> None:
-    """Child process: run one job, send ('ok', snapshot) or ('error', msg)."""
-    try:
-        apply_child_faults(fault_kinds)  # may _exit, hang, or raise
-        worker_store = TraceStore(store_root, fsync=False)
-        worker_store.adopt_manifest(manifest)
-        set_default_store(worker_store)
-        if obs_mode != "off" and obs_log:
-            obs_events.configure(mode=obs_mode, log_path=obs_log)
-        stats = execute_job(job, sanitize=sanitize)
-    except Exception as exc:
-        _safe_send(conn, ("error", f"{type(exc).__name__}: {exc}"))
-    else:
-        _safe_send(conn, ("ok", stats.snapshot()))
-    finally:
+    """Worker process: answer batches until ``("stop",)`` or pipe EOF.
+
+    Every request is ``("batch", jobs, manifest_delta, traces, faults)``
+    and every answer ``(results, metric_deltas, span_deltas)``:
+
+    * ``manifest_delta`` names shared-memory trace segments the parent
+      exported (adopting an entry twice is harmless); the worker's
+      store attaches to them zero-copy instead of re-reading blobs
+      from disk.
+    * ``faults`` holds each job's injected worker-side faults
+      (:func:`~repro.engine.faultinject.apply_child_faults`), applied
+      just before the job runs: a crash or hang takes the worker down
+      and the parent replaces it.
+    * Each job runs through :func:`execute_job` — the single execution
+      path shared with the serial harness — and yields ``("ok",
+      snapshot)`` or ``("error", message)``.
+    * Under ``REPRO_OBS=full`` the worker drains its process-local
+      metrics registry after every batch; the parent merges the deltas.
+    * ``traces`` holds each job's trace context (``traceparent`` or
+      ``None``).  A traced job is timed into a ``kernel`` stage-span
+      record, built here with this process's clocks and pid, and sent
+      back instead of being written locally: a batch retried after a
+      worker crash contributes its spans exactly once.
+
+    A forked child inherits the parent's end of its own pipe; it closes
+    that copy so that, if the parent is killed, ``recv`` sees EOF and
+    the orphaned worker exits.
+    """
+    parent_end.close()
+    store = TraceStore(store_root, fsync=False)
+    set_default_store(store)
+    if obs_mode != "off" and obs_log:
+        obs_events.configure(mode=obs_mode, log_path=obs_log)
+    default_registry().drain_deltas()  # counts copied from the parent at fork
+    while True:
+        try:
+            message = conn.recv()
+        except (EOFError, OSError):
+            break
+        if message[0] == "stop":
+            break
+        _, jobs, delta, traces, faults = message
+        store.adopt_manifest(delta)
+        results: list[JobResult] = []
+        span_deltas: list[dict[str, Any]] = []
+        for job, wire, kinds in zip(jobs, traces, faults):
+            ctx = TraceContext.from_wire(wire) if wire else None
+            started = time.monotonic()
+            try:
+                apply_child_faults(kinds)  # may _exit, hang, or raise
+                stats = execute_job(job)
+            except Exception as exc:
+                results.append(("error", f"{type(exc).__name__}: {exc}"))
+            else:
+                results.append(("ok", stats.snapshot()))
+            if ctx is not None and ctx.sampled and obs_events.enabled():
+                span_deltas.append(_obs.stage_record(
+                    "kernel", ctx, time.monotonic() - started,
+                    benchmark=job.benchmark,
+                ))
+        deltas = (
+            default_registry().drain_deltas()
+            if obs_events.metrics_enabled()
+            else []
+        )
+        try:
+            conn.send((results, deltas, span_deltas))
+        except OSError:
+            break
+    store.release_shared()  # detach segments before the owner unlinks them
+    with contextlib.suppress(OSError):
         conn.close()
 
 
+def spawn_worker(store_root: str) -> tuple[BaseProcess, Connection]:
+    """Start one :func:`_worker_entry` process; returns it and its pipe.
+
+    The worker shares ``store_root`` and this process's obs tier and
+    event log (forwarded explicitly, so a parent that called
+    ``obs.configure`` gets worker events in the same log).
+    """
+    ctx = multiprocessing.get_context()
+    parent_end, child_end = ctx.Pipe(duplex=True)
+    proc = ctx.Process(
+        target=_worker_entry,
+        args=(
+            child_end,
+            parent_end,
+            store_root,
+            obs_events.mode(),
+            str(obs_events.active_log_path()),
+        ),
+        daemon=True,
+    )
+    proc.start()
+    child_end.close()
+    return proc, parent_end
+
+
+# ----------------------------------------------------------------------
+# Supervised execution
+# ----------------------------------------------------------------------
 @dataclass(slots=True)
 class _Pending:
     ready_at: float
@@ -175,22 +260,28 @@ class _Pending:
 
 
 @dataclass(slots=True)
-class _Active:
-    index: int
-    attempt: int
-    proc: multiprocessing.process.BaseProcess
-    conn: object
-    deadline: float
+class _Worker:
+    """Parent-side handle for one supervised worker process."""
+
+    proc: BaseProcess
+    conn: Connection
+    task: _Pending | None = None  # the job in flight, if any
+    deadline: float = 0.0
 
 
 class _PoolDegraded(Exception):
     """Internal: too many consecutive worker failures; go serial."""
 
 
-def _reap(worker: _Active) -> int | None:
+def _safe_send(conn: Connection, message: object) -> None:
+    with contextlib.suppress(OSError, ValueError):
+        conn.send(message)
+
+
+def _reap(worker: _Worker) -> int | None:
     """Close the pipe, collect the worker, return its exit code."""
     with contextlib.suppress(OSError, ValueError):
-        worker.conn.close()  # type: ignore[attr-defined]
+        worker.conn.close()
     worker.proc.join(timeout=5.0)
     if worker.proc.is_alive():
         worker.proc.kill()
@@ -201,60 +292,60 @@ def _reap(worker: _Active) -> int | None:
     return exitcode
 
 
-def _receive(worker: _Active) -> tuple | None:
-    """The worker's message, or ``None`` if it died before sending."""
+def _receive(worker: _Worker) -> JobResult | None:
+    """The worker's result for its job, or ``None`` if it died first."""
     try:
-        message = worker.conn.recv()  # type: ignore[attr-defined]
+        results, deltas, _spans = worker.conn.recv()
     except (EOFError, OSError):
         return None
-    return message if isinstance(message, tuple) and len(message) == 2 else None
+    if deltas:
+        default_registry().merge_deltas(deltas)
+    outcome: JobResult = results[0]
+    return outcome
 
 
-def _spawn(
-    ctx: Any,
-    jobs: Sequence[SweepJob],
-    entry: _Pending,
+def _claim(
+    pool: list[_Worker],
+    workers: int,
     store: TraceStore,
+    fresh: bool,
+) -> _Worker | None:
+    """An idle worker for the next job, or ``None`` if all are busy.
+
+    ``fresh`` asks for a worker that has never run a job: an idle one is
+    retired to make room for it.
+    """
+    idle = next((worker for worker in pool if worker.task is None), None)
+    if idle is not None and not fresh:
+        return idle
+    if idle is not None:
+        pool.remove(idle)
+        _safe_send(idle.conn, ("stop",))
+        _reap(idle)
+    elif len(pool) >= workers:
+        return None
+    proc, conn = spawn_worker(str(store.root))
+    pool.append(_Worker(proc=proc, conn=conn))
+    return pool[-1]
+
+
+def _start(
+    worker: _Worker,
+    entry: _Pending,
+    job: SweepJob,
+    manifest: Manifest,
+    kinds: tuple[str, ...],
     config: ResilienceConfig,
-    plan: FaultPlan | None,
-    sanitize: bool,
-    manifest: Manifest | None = None,
-) -> _Active:
-    job = jobs[entry.index]
-    if plan is not None and plan.matches("corrupt_blob", entry.index, entry.attempt):
-        corrupt_job_blobs(store, job)
-        # The fault corrupts *disk* blobs to exercise the quarantine
-        # path; a shared-memory attach would serve the pristine copy
-        # and bypass it, so this worker gets no manifest.
-        manifest = None
-    child_kinds = plan.child_kinds(entry.index, entry.attempt) if plan else ()
-    parent_conn, child_conn = ctx.Pipe(duplex=False)
-    proc = ctx.Process(
-        target=_worker_entry,
-        args=(
-            child_conn,
-            job,
-            str(store.root),
-            sanitize,
-            child_kinds,
-            obs_events.mode(),
-            str(obs_events.active_log_path()),
-            manifest,
-        ),
-        daemon=True,
-    )
+) -> None:
+    """Send one job to ``worker`` under the ``job_timeout`` deadline."""
+    worker.task = entry
+    worker.deadline = time.monotonic() + config.job_timeout
     _obs.job_event(
         "running", job_label(job), benchmark=job.benchmark, attempt=entry.attempt
     )
-    proc.start()
-    child_conn.close()
-    return _Active(
-        index=entry.index,
-        attempt=entry.attempt,
-        proc=proc,
-        conn=parent_conn,
-        deadline=time.monotonic() + config.job_timeout,
-    )
+    # A worker that died while idle fails this send; the pipe then reads
+    # EOF and the job is retried like any other worker death.
+    _safe_send(worker.conn, ("batch", [job], manifest, [None], [kinds]))
 
 
 def _commit(
@@ -313,20 +404,20 @@ def _schedule_retry(
 
 
 def _wait_for_activity(
-    active: list[_Active], pending: list[_Pending], now: float
-) -> list[_Active]:
+    busy: list[_Worker], pending: list[_Pending], now: float
+) -> list[_Worker]:
     """Block until a worker speaks, a deadline nears, or a retry is due."""
     timeout = 0.2
-    for worker in active:
+    for worker in busy:
         timeout = min(timeout, max(worker.deadline - now, 0.0))
     for entry in pending:
         timeout = min(timeout, max(entry.ready_at - now, 0.0))
     timeout = max(timeout, 0.01)
-    if not active:
+    if not busy:
         time.sleep(timeout)
         return []
-    ready = set(_conn_wait([worker.conn for worker in active], timeout))
-    return [worker for worker in active if worker.conn in ready]
+    ready = set(_conn_wait([worker.conn for worker in busy], timeout))
+    return [worker for worker in busy if worker.conn in ready]
 
 
 def _run_supervised(
@@ -338,81 +429,105 @@ def _run_supervised(
     run_store: ResultCache | None,
     plan: FaultPlan | None,
     workers: int,
-    sanitize: bool,
     rng: Random,
-    manifest: Manifest | None = None,
+    manifest: Manifest,
 ) -> None:
-    """Fan ``todo`` over supervised worker processes with recovery."""
-    ctx = multiprocessing.get_context()
+    """Run ``todo`` on up to ``workers`` persistent workers with recovery.
+
+    Every job carries the full shared-memory manifest (adopting it again
+    is a dict update), except a ``corrupt_blob`` attempt.
+    """
     pending = [_Pending(0.0, index, 0) for index in todo]
-    active: list[_Active] = []
+    pool: list[_Worker] = []
     consecutive_failures = 0
     degraded: list[tuple[int, int]] = []
     try:
-        while pending or active:
+        while pending or any(worker.task for worker in pool):
             now = time.monotonic()
             due = sorted(
                 (entry for entry in pending if entry.ready_at <= now),
                 key=lambda entry: entry.index,
             )
             for entry in due:
-                if len(active) >= workers:
+                job = jobs[entry.index]
+                corrupt = plan is not None and plan.matches(
+                    "corrupt_blob", entry.index, entry.attempt
+                )
+                # The fault corrupts *disk* blobs to exercise the
+                # quarantine path; a worker holding the trace in memory
+                # or in shared memory would serve the pristine copy, so
+                # this attempt runs on a fresh worker with no manifest.
+                worker = _claim(pool, workers, store, fresh=corrupt)
+                if worker is None:
                     break
                 pending.remove(entry)
-                active.append(
-                    _spawn(ctx, jobs, entry, store, config, plan, sanitize, manifest)
-                )
-            for worker in _wait_for_activity(active, pending, time.monotonic()):
-                message = _receive(worker)
-                exitcode = _reap(worker)
-                active.remove(worker)
-                if message is not None and message[0] == "ok":
+                if corrupt:
+                    corrupt_job_blobs(store, job)
+                kinds = plan.child_kinds(entry.index, entry.attempt) if plan else ()
+                _start(worker, entry, job, {} if corrupt else manifest, kinds, config)
+            busy = [worker for worker in pool if worker.task is not None]
+            for worker in _wait_for_activity(busy, pending, time.monotonic()):
+                task = worker.task
+                assert task is not None
+                outcome = _receive(worker)
+                worker.task = None
+                if outcome is None:
+                    pool.remove(worker)
+                    exitcode = _reap(worker)
+                    consecutive_failures += 1
+                    _schedule_retry(
+                        pending, task.index, task.attempt,
+                        f"worker died (exit code {exitcode})", config, rng, jobs,
+                    )
+                elif outcome[0] == "ok":
                     consecutive_failures = 0
                     _commit(
                         results,
                         run_store,
                         jobs,
-                        worker.index,
-                        worker.attempt,
-                        CacheStats.from_snapshot(message[1]),
+                        task.index,
+                        task.attempt,
+                        CacheStats.from_snapshot(outcome[1]),
                         plan,
                     )
                 else:
-                    if message is None:
-                        consecutive_failures += 1
-                        reason = f"worker died (exit code {exitcode})"
-                    else:
-                        reason = str(message[1])
                     _schedule_retry(
-                        pending, worker.index, worker.attempt, reason, config, rng, jobs
+                        pending, task.index, task.attempt, str(outcome[1]),
+                        config, rng, jobs,
                     )
             now = time.monotonic()
-            for worker in [w for w in active if w.deadline <= now]:
+            for worker in [w for w in pool if w.task and w.deadline <= now]:
+                task = worker.task
+                assert task is not None
+                pool.remove(worker)
                 worker.proc.kill()
                 _reap(worker)
-                active.remove(worker)
                 consecutive_failures += 1
                 _schedule_retry(
                     pending,
-                    worker.index,
-                    worker.attempt,
+                    task.index,
+                    task.attempt,
                     f"hung: exceeded job_timeout={config.job_timeout:.1f}s",
                     config,
                     rng,
                     jobs,
                 )
             if consecutive_failures >= config.max_pool_failures and (
-                pending or active
+                pending or any(worker.task for worker in pool)
             ):
                 raise _PoolDegraded
     except _PoolDegraded:
         degraded = sorted(
-            [(worker.index, worker.attempt) for worker in active]
+            [(w.task.index, w.task.attempt) for w in pool if w.task is not None]
             + [(entry.index, entry.attempt) for entry in pending]
         )
     finally:
-        for worker in active:
-            worker.proc.kill()
+        for worker in pool:
+            if worker.task is not None:
+                worker.proc.kill()
+            else:
+                _safe_send(worker.conn, ("stop",))
+        for worker in pool:
             _reap(worker)
     if degraded:
         log.warning(
@@ -422,7 +537,7 @@ def _run_supervised(
             len(degraded),
         )
         _run_serial_entries(
-            jobs, degraded, results, store, config, run_store, plan, sanitize, rng
+            jobs, degraded, results, store, config, run_store, plan, False, rng
         )
 
 
@@ -485,16 +600,36 @@ def _run_serial_entries(
 
 
 # ----------------------------------------------------------------------
-# Entry point (reached via run_sweep's resilience kwargs)
+# The run store and the sweep (reached through run_sweep)
 # ----------------------------------------------------------------------
+def open_run(
+    run_id: str | None, run_root: str | Path | None, fsync: bool
+) -> tuple[ResultCache | None, contextlib.AbstractContextManager[None]]:
+    """The run store for ``run_id`` and a context routing events beside it.
+
+    Telemetry lands in the run directory too, so bcache-top (and
+    post-mortems) find one self-contained directory per run.  Without a
+    ``run_id`` there is no store and events stay where they were.
+    """
+    if not run_id:
+        return None, contextlib.nullcontext()
+    run_dir = Path(run_root or default_run_root()) / run_id
+    return (
+        ResultCache(run_dir, fsync=fsync),
+        obs_events.log_to(run_dir / "events.jsonl"),
+    )
+
+
 def load_completed(
-    run_store: ResultCache, jobs: Sequence[SweepJob]
+    run_store: ResultCache | None, jobs: Sequence[SweepJob]
 ) -> list[CacheStats | None]:
     """Stats the run store already holds for each job, else ``None``.
 
     A corrupt entry is quarantined by the store and its job re-runs;
     one warning reports how many were set aside.
     """
+    if run_store is None:
+        return [None] * len(jobs)
     found: list[CacheStats | None] = []
     for job in jobs:
         snapshot = run_store.get(job)
@@ -514,101 +649,78 @@ def load_completed(
     return found
 
 
-def run_resilient(
-    jobs: Iterable[SweepJob],
-    workers: int,
-    store: TraceStore,
-    config: ResilienceConfig,
-    sanitize: bool = False,
-    run_id: str | None = None,
-    run_root: str | Path | None = None,
-    fault_plan: FaultPlan | None = None,
-) -> list[CacheStats]:
-    """Run a sweep crash-safely; returns stats order-aligned with jobs.
+def _prewarm(
+    jobs: Sequence[SweepJob], store: TraceStore, registry: SharedTraceRegistry
+) -> Manifest:
+    """Materialise and export every distinct trace once before the workers start.
 
-    With ``run_id`` every completed job is stored durably in a
-    :class:`~repro.engine.results.ResultCache` rooted at
-    ``<run_root>/<run_id>/``; jobs it already holds (from an earlier
-    run of the same id, killed or completed, under the same engine
-    fingerprint) are skipped and their stats returned bit-identically.
+    Each trace lands in the store and in a named shared-memory segment;
+    the returned manifest lets workers attach zero-copy instead of
+    re-reading blobs from disk.
     """
-    jobs = list(jobs)
-    rng = Random(config.backoff_seed)
-    run_store: ResultCache | None = None
-    route_log: contextlib.AbstractContextManager[None] = contextlib.nullcontext()
-    if run_id:
-        run_dir = Path(run_root or default_run_root()) / run_id
-        run_store = ResultCache(run_dir, fsync=config.fsync)
-        # Telemetry lands in the run directory too, so bcache-top (and
-        # post-mortems) find one self-contained directory per run.
-        route_log = obs_events.log_to(run_dir / "events.jsonl")
-    with route_log, obs_events.span(
-        "engine.resilient_sweep",
-        run_id=run_id or "",
-        jobs=len(jobs),
-        workers=workers,
-    ):
-        return _resilient_body(
-            jobs, workers, store, config, sanitize, run_store, fault_plan, rng
-        )
+    seen: set[tuple] = set()
+    for job in jobs:
+        key = (job.benchmark, job.side, job.n, job.seed, job.with_kinds)
+        if key not in seen:
+            seen.add(key)
+            store.ensure(job.benchmark, job.side, job.n, job.seed, kinds=job.with_kinds)
+            registry.export(
+                store, job.benchmark, job.side, job.n, job.seed, job.with_kinds
+            )
+    return registry.manifest()
 
 
-def _resilient_body(
+def supervise(
     jobs: Sequence[SweepJob],
     workers: int,
     store: TraceStore,
     config: ResilienceConfig,
     sanitize: bool,
     run_store: ResultCache | None,
-    fault_plan: FaultPlan | None,
-    rng: Random,
+    plan: FaultPlan | None,
 ) -> list[CacheStats]:
-    """Resume bookkeeping + dispatch (parent events already routed)."""
-    results: list[CacheStats] = [None] * len(jobs)  # type: ignore[list-item]
-    todo: list[int] = []
-    completed: list[CacheStats | None] = [None] * len(jobs)
-    if run_store is not None:
-        completed = load_completed(run_store, jobs)
-    for index, done in enumerate(completed):
-        if done is not None:
-            results[index] = done
-        else:
-            todo.append(index)
+    """Run the jobs ``run_store`` does not hold; stats order-aligned with jobs.
+
+    The rest run serially in this process when ``workers <= 1``,
+    ``sanitize`` is set or only one job is left, and otherwise on
+    ``min(workers, jobs left)`` supervised workers.
+    """
+    rng = Random(config.backoff_seed)
+    results = load_completed(run_store, jobs)
+    todo = [index for index, done in enumerate(results) if done is None]
     if obs_events.enabled():
         for index in todo:
             _obs.job_event(
                 "queued", job_label(jobs[index]), benchmark=jobs[index].benchmark
             )
-    if todo:
-        if sanitize or workers <= 1 or len(todo) == 1:
-            _run_serial_entries(
+    if sanitize or workers <= 1 or len(todo) <= 1:
+        _run_serial_entries(
+            jobs,
+            [(index, 0) for index in todo],
+            results,
+            store,
+            config,
+            run_store,
+            plan,
+            sanitize,
+            rng,
+        )
+    else:
+        registry = SharedTraceRegistry()
+        try:
+            manifest = _prewarm([jobs[index] for index in todo], store, registry)
+            _run_supervised(
                 jobs,
-                [(index, 0) for index in todo],
+                todo,
                 results,
                 store,
                 config,
                 run_store,
-                fault_plan,
-                sanitize,
+                plan,
+                min(workers, len(todo)),
                 rng,
+                manifest,
             )
-        else:
-            registry = SharedTraceRegistry()
-            try:
-                manifest = _prewarm([jobs[index] for index in todo], store, registry)
-                _run_supervised(
-                    jobs,
-                    todo,
-                    results,
-                    store,
-                    config,
-                    run_store,
-                    fault_plan,
-                    min(workers, len(todo)),
-                    sanitize,
-                    rng,
-                    manifest,
-                )
-            finally:
-                registry.unlink_all()
-    return results
+        finally:
+            registry.unlink_all()
+    return results  # type: ignore[return-value]  # every slot is filled

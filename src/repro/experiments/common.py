@@ -5,7 +5,7 @@ the on-disk :mod:`repro.engine.trace_store`; the thin ``lru_cache``
 wrappers here only pin the hot handful of decoded columnar blobs (as
 read-only ``uint64`` views) so repeated sweeps stay allocation-free.  All replay goes through
 :func:`repro.engine.runner.execute_job`, the same code path the
-process-pool runner uses — which is what makes ``jobs > 1`` sweeps
+sweep workers use — which is what makes ``jobs > 1`` sweeps
 bit-identical to serial ones.
 
 Scale presets control trace lengths: the paper simulates 500 M
@@ -126,7 +126,6 @@ def sweep_stats(
     policy: str = "lru",
     jobs: int | None = None,
     run_id: str | None = None,
-    resume: str | None = None,
 ) -> dict[tuple[str, str], CacheStats]:
     """Run a (spec x benchmark) sweep, optionally across processes.
 
@@ -136,10 +135,9 @@ def sweep_stats(
     runs :func:`repro.engine.runner.execute_job` on the same stored
     trace (see ``docs/engine.md``).
 
-    ``run_id``/``resume`` opt into the crash-safe engine path: every
-    completed (spec, benchmark) cell is stored durably and a rerun
-    with the same id skips completed cells bit-identically — use it
-    for FULL-scale panels that must survive a kill mid-run.
+    ``run_id`` stores every completed (spec, benchmark) cell durably,
+    and a rerun with the same id skips completed cells bit-identically
+    — use it for FULL-scale panels that must survive a kill mid-run.
     """
     sweep = [
         SweepJob(
@@ -155,7 +153,7 @@ def sweep_stats(
         for spec in specs
         for benchmark in benchmarks
     ]
-    results = run_sweep(sweep, workers=jobs, run_id=run_id, resume=resume)
+    results = run_sweep(sweep, workers=jobs, run_id=run_id)
     return {
         (job.spec, job.benchmark): stats for job, stats in zip(sweep, results)
     }

@@ -238,7 +238,7 @@ def active_log_path() -> Path:
 def log_to(path: str | Path) -> Iterator[None]:
     """Temporarily route events to ``path`` (no-op while tier is off).
 
-    The resilient sweep supervisor and the cluster coordinator wrap
+    ``run_sweep`` and the cluster coordinator wrap
     each ``run_id`` sweep in this so the event log lands in the run
     directory, beside the run store's entries.
     """

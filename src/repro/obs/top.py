@@ -89,10 +89,8 @@ class SweepModel:
         if isinstance(pid, int):
             self.workers[pid] = max(self.workers.get(pid, 0.0), mono)
         self.last_event_mono = max(self.last_event_mono, mono)
-        if name == "engine.resilient_sweep":
+        if name == "engine.sweep":
             self.run_id = str(event.get("run_id") or self.run_id)
-            self.total_jobs = int(event.get("jobs") or self.total_jobs)
-        elif name == "engine.sweep":
             self.total_jobs = int(event.get("jobs") or self.total_jobs)
         elif name == "job.queued":
             self._bench(event).queued += 1

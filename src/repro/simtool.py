@@ -84,11 +84,11 @@ def _run_specs(
 ) -> tuple[dict[str, CacheStats], dict[str, str], int]:
     """Run every spec; returns (stats by spec, errors by spec, status).
 
-    Benchmark runs with ``--jobs > 1`` go through the process-pool
-    sweep runner (each worker loads the same stored trace); trace-file
-    and ``--sanitize`` runs stay serial.  ``--run-id``/``--inject-faults``
-    route benchmark runs through the crash-safe resilient engine
-    (retries, timeouts, durable run store — see ``docs/engine.md``).
+    Benchmark runs with ``--jobs > 1``, ``--run-id`` or
+    ``--inject-faults`` go through :func:`run_sweep` (each worker loads
+    the same stored trace; retries, timeouts, durable run store — see
+    ``docs/engine.md``); a job that keeps failing exits 4.  Trace-file
+    and ``--sanitize`` runs stay serial.
     """
     results: dict[str, CacheStats] = {}
     errors: dict[str, str] = {}
@@ -104,23 +104,23 @@ def _run_specs(
         else:
             valid_specs.append(spec)
 
+    sweep = [
+        SweepJob(
+            spec=spec,
+            benchmark=args.benchmark,
+            side=args.side,
+            n=args.n,
+            seed=args.seed,
+            size=args.size,
+            line_size=args.line,
+            policy=args.policy,
+            with_kinds=True,
+        )
+        for spec in valid_specs
+    ]
     if getattr(args, "connect", None):
         from repro.serve.client import ServeClient, ServeError
 
-        sweep = [
-            SweepJob(
-                spec=spec,
-                benchmark=args.benchmark,
-                side=args.side,
-                n=args.n,
-                seed=args.seed,
-                size=args.size,
-                line_size=args.line,
-                policy=args.policy,
-                with_kinds=True,
-            )
-            for spec in valid_specs
-        ]
         if "," in args.connect:
             # Comma-separated fleet: route through the fault-tolerant
             # cluster coordinator (work-stealing, failover, local
@@ -152,48 +152,30 @@ def _run_specs(
         return results, errors, status
 
     fault_plan = getattr(args, "fault_plan", None)
-    resilient = bool(args.run_id or fault_plan)
-    parallel = args.jobs > 1 and len(valid_specs) > 1
-    if parallel and not resilient and (args.trace or args.sanitize):
+    workers = args.jobs if len(valid_specs) > 1 else 1
+    if workers > 1 and (args.trace or args.sanitize):
         reason = "--sanitize replays serially" if args.sanitize else (
             "trace files are not in the trace store"
         )
         print(f"bcache-sim: {reason}; running with --jobs 1", file=sys.stderr)
-        parallel = False
+        workers = 1
 
-    if resilient or parallel:
-        sweep = [
-            SweepJob(
-                spec=spec,
-                benchmark=args.benchmark,
-                side=args.side,
-                n=args.n,
-                seed=args.seed,
-                size=args.size,
-                line_size=args.line,
-                policy=args.policy,
-                with_kinds=True,
+    if workers > 1 or args.run_id or fault_plan:
+        from repro.engine.resilience import SweepFailure
+
+        try:
+            swept = run_sweep(
+                sweep,
+                workers=workers,
+                sanitize=args.sanitize,
+                run_id=args.run_id,
+                fault_plan=fault_plan,
             )
-            for spec in valid_specs
-        ]
-        if resilient:
-            from repro.engine.resilience import SweepFailure
-
-            try:
-                swept = run_sweep(
-                    sweep,
-                    workers=args.jobs,
-                    sanitize=args.sanitize,
-                    run_id=args.run_id,
-                    fault_plan=fault_plan,
-                )
-            except SweepFailure as exc:
-                print(f"bcache-sim: sweep failed: {exc}", file=sys.stderr)
-                for spec in valid_specs:
-                    errors.setdefault(spec, "sweep failed (see stderr)")
-                return results, errors, 4
-        else:
-            swept = run_sweep(sweep, workers=args.jobs)
+        except SweepFailure as exc:
+            print(f"bcache-sim: sweep failed: {exc}", file=sys.stderr)
+            for spec in valid_specs:
+                errors.setdefault(spec, "sweep failed (see stderr)")
+            return results, errors, 4
         for spec, stats in zip(valid_specs, swept):
             results[spec] = stats
         return results, errors, status

@@ -1,4 +1,4 @@
-"""Tests for the process-pool sweep runner."""
+"""Tests for the sweep runner."""
 
 from __future__ import annotations
 
@@ -92,7 +92,7 @@ class TestRunSweep:
 
 
 class TestResilientRouting:
-    """run_sweep routes to the resilient engine; depth in test_resilience."""
+    """run_sweep's supervisor knobs; depth in test_resilience."""
 
     def test_resilience_config_matches_plain(self, store):
         from repro.engine.resilience import ResilienceConfig
@@ -106,19 +106,12 @@ class TestResilientRouting:
         assert resilient == plain
 
     def test_run_id_creates_journal(self, store, tmp_path):
-        # A run id routes through the resilient engine, which stores one
-        # result entry per job in the run directory.
+        # A run id stores one result entry per job in the run directory.
         jobs = small_sweep()[:2]
         run_sweep(jobs, workers=1, store=store, run_id="routed", run_root=tmp_path)
         run_store = ResultCache(tmp_path / "routed")
         for job in jobs:
             assert run_store.entry_path(run_store.key(job)).is_file()
-
-    def test_run_id_resume_alias_conflict(self, store):
-        with pytest.raises(ValueError, match="disagree"):
-            run_sweep(
-                small_sweep()[:1], store=store, run_id="a", resume="b"
-            )
 
 
 class TestDefaultJobs:

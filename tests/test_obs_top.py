@@ -24,7 +24,7 @@ def _event(name: str, *, pid: int = 100, mono: float = 1.0, **fields):
 
 def _sweep_events():
     events = [
-        _event("engine.resilient_sweep", run_id="panel", jobs=4, mono=0.5)
+        _event("engine.sweep", run_id="panel", jobs=4, mono=0.5)
     ]
     for i, benchmark in enumerate(["gcc", "gcc", "mcf", "mcf"]):
         events.append(

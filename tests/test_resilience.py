@@ -24,6 +24,7 @@ from repro.engine.resilience import (
 from repro.engine.results import ResultCache, unframe
 from repro.engine.runner import SweepJob, execute_job, run_sweep
 from repro.engine.trace_store import TraceStore
+from repro.obs.events import read_events
 
 
 @pytest.fixture
@@ -100,7 +101,7 @@ class TestResultJournal:
             assert reopened.get(job) == stats.snapshot()
         executed = count_executions(monkeypatch)
         resumed = run_sweep(
-            jobs, workers=1, store=store, resume="r1", run_root=tmp_path,
+            jobs, workers=1, store=store, run_id="r1", run_root=tmp_path,
             resilience=FAST,
         )
         assert resumed == first
@@ -119,7 +120,7 @@ class TestResultJournal:
         assert len(list((tmp_path / "r1").glob("fp-*/*.json.tmp.*"))) == 1
         executed = count_executions(monkeypatch)
         resumed = run_sweep(
-            jobs, workers=1, store=store, resume="r1", run_root=tmp_path,
+            jobs, workers=1, store=store, run_id="r1", run_root=tmp_path,
             resilience=FAST,
         )
         assert resumed == clean
@@ -140,7 +141,7 @@ class TestResultJournal:
         executed = count_executions(monkeypatch)
         with caplog.at_level("WARNING", logger="repro.engine.resilience"):
             resumed = run_sweep(
-                jobs, workers=1, store=store, resume="r1", run_root=tmp_path,
+                jobs, workers=1, store=store, run_id="r1", run_root=tmp_path,
                 resilience=FAST,
             )
         assert resumed == clean
@@ -164,7 +165,7 @@ class TestResumeSerial:
         )
         assert first == clean
         resumed = run_sweep(
-            jobs, workers=1, store=store, resume="r", run_root=tmp_path,
+            jobs, workers=1, store=store, run_id="r", run_root=tmp_path,
             resilience=FAST,
         )
         assert resumed == clean
@@ -183,17 +184,10 @@ class TestResumeSerial:
 
         monkeypatch.setattr(resilience, "execute_job", _boom)
         resumed = run_sweep(
-            jobs, workers=1, store=store, resume="r", run_root=tmp_path,
+            jobs, workers=1, store=store, run_id="r", run_root=tmp_path,
             resilience=FAST,
         )
         assert resumed == expected
-
-    def test_run_id_resume_conflict_rejected(self, tmp_path, store):
-        with pytest.raises(ValueError, match="disagree"):
-            run_sweep(
-                small_sweep()[:1], workers=1, store=store,
-                run_id="a", resume="b", run_root=tmp_path,
-            )
 
     def test_sanitized_run_survives_resume(self, tmp_path, store):
         jobs = small_sweep()[:2]
@@ -205,7 +199,7 @@ class TestResumeSerial:
         assert checked == plain
         resumed = run_sweep(
             jobs, workers=1, store=store, sanitize=True,
-            resume="san", run_root=tmp_path, resilience=FAST,
+            run_id="san", run_root=tmp_path, resilience=FAST,
         )
         assert resumed == plain
 
@@ -256,7 +250,7 @@ class TestFaultRecovery:
         assert intact_entries(tmp_path / "torn") == len(jobs) - 1
         executed = count_executions(monkeypatch)
         resumed = run_sweep(
-            jobs, workers=1, store=store, resume="torn", run_root=tmp_path,
+            jobs, workers=1, store=store, run_id="torn", run_root=tmp_path,
             resilience=FAST,
         )
         assert resumed == clean
@@ -292,6 +286,85 @@ class TestFaultRecovery:
             )
         assert got == clean
         assert any("serial" in record.message for record in caplog.records)
+
+
+class TestPersistentWorkers:
+    def test_job_spans_come_from_at_most_two_workers(
+        self, tmp_path, store, monkeypatch
+    ):
+        # Workers live for the whole sweep: six jobs on two workers run
+        # in two processes, not one fork per job.
+        monkeypatch.setenv("REPRO_OBS", "events")
+        monkeypatch.setenv("REPRO_OBS_LOG", str(tmp_path / "outside.jsonl"))
+        jobs = small_sweep() + [
+            SweepJob(spec="4way", benchmark=benchmark, n=2000)
+            for benchmark in ("gzip", "equake")
+        ]
+        got = run_sweep(
+            jobs, workers=2, store=store, run_id="pids",
+            run_root=tmp_path / "runs", resilience=FAST,
+        )
+        assert got == [execute_job(job, store=store) for job in jobs]
+        spans = [
+            event
+            for event in read_events(tmp_path / "runs" / "pids" / "events.jsonl")
+            if event["name"] == "job.run"
+        ]
+        assert len(spans) == len(jobs) == 6
+        pids = {event["pid"] for event in spans}
+        assert len(pids) <= 2
+        assert os.getpid() not in pids
+
+    def test_orphaned_workers_exit_when_parent_is_killed(self, tmp_path):
+        if not Path("/proc/self/stat").exists():
+            pytest.skip("needs /proc to see whether a pid has exited")
+        child_code = """
+import sys, time
+from repro.engine.trace_store import TraceStore
+from repro.serve.workers import ShardPool
+
+pool = ShardPool(2, store=TraceStore(sys.argv[1], fsync=False))
+print(" ".join(str(shard.proc.pid) for shard in pool._shards), flush=True)
+time.sleep(600)
+"""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+        proc = subprocess.Popen(
+            [sys.executable, "-c", child_code, str(tmp_path / "traces")],
+            env=env,
+            stdout=subprocess.PIPE,
+            text=True,
+        )
+        pids: list[int] = []
+        try:
+            assert proc.stdout is not None
+            pids = [int(pid) for pid in proc.stdout.readline().split()]
+            assert len(pids) == 2
+            proc.kill()  # the parent only: the workers are orphaned
+            proc.wait(timeout=30)
+            deadline = time.monotonic() + 20.0
+            while any(_running(pid) for pid in pids):
+                assert time.monotonic() < deadline, "orphaned workers kept running"
+                time.sleep(0.05)
+        finally:
+            if proc.stdout is not None:
+                proc.stdout.close()
+            with contextlib.suppress(ProcessLookupError):
+                proc.kill()
+            proc.wait(timeout=30)
+            for pid in pids:
+                with contextlib.suppress(ProcessLookupError, PermissionError):
+                    if _running(pid):
+                        os.kill(pid, signal.SIGKILL)
+
+
+def _running(pid: int) -> bool:
+    """Is ``pid`` a live process (an exited, unreaped zombie is not)?"""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except (FileNotFoundError, ProcessLookupError):
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
 
 
 class TestKillResume:
@@ -355,7 +428,7 @@ run_sweep(
 
         clean = run_sweep(jobs, workers=1, store=store)
         resumed = run_sweep(
-            jobs, workers=1, store=store, resume="killed", run_root=run_root,
+            jobs, workers=1, store=store, run_id="killed", run_root=run_root,
             resilience=FAST,
         )
         assert resumed == clean
@@ -374,7 +447,7 @@ class TestFingerprintWarning:
         )
         other = small_sweep()[1:3]
         got = run_sweep(
-            other, workers=1, store=store, resume="fp", run_root=tmp_path,
+            other, workers=1, store=store, run_id="fp", run_root=tmp_path,
             resilience=FAST,
         )
         assert got == run_sweep(other, workers=1, store=store)
